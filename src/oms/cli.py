@@ -95,7 +95,10 @@ def resolve_params(config_doc: dict, **flags) -> OmsParams:
 
 
 def _resolve_threads(threads) -> int:
+    """'auto' is the number of CPUs this process may run on."""
     if threads in (None, "auto"):
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     n = int(threads)
     if n < 1:

@@ -9,17 +9,26 @@ responses equally and is suppressed.
 Two filtering modes are provided:
 
 * dense (default): both kernels slide at stride 1 over a zero-padded frame,
-  so both response maps have the input resolution and the subtraction is
-  spatially aligned pixel-for-pixel.
+  so the score has the input resolution. Correlation is linear, so the two
+  responses are never computed: the score is |corr(F, D)| for the single
+  difference kernel D = surround - center (`kernels.difference_kernel`).
+  D's taps are grouped by exact value; per group the shifted slices of a
+  zero-padded uint8 copy of the frame are summed into an integer count, and
+  the score accumulates value * count in float64, one multiply-add per
+  distinct tap value (7 at the defaults, for 52 nonzero taps).
 * strided: valid (no-padding) correlation with the surround at stride s_s
   and the center at stride s_c = s_s + r2 - r1. The two output grids have
   different sizes; they are truncated from the top-left to common
   dimensions, subtracted elementwise, thresholded, and the coarse result is
   mapped back to input resolution by nearest-neighbor upsampling.
+
+Frames must be binary (bool, or values in {0, 1}); anything else raises
+ValidationError, because the score bound and the uint8 counts rely on it.
 """
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,7 +37,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ParameterError, ValidationError
-from .kernels import Kernel, make_feathered_kernel
+from .kernels import Kernel, difference_kernel, make_feathered_kernel
+
+log = logging.getLogger("oms")
 
 MODES = ("dense", "strided")
 
@@ -89,6 +100,20 @@ def _check_frame(frame: np.ndarray) -> np.ndarray:
     return frame
 
 
+def _check_binary_frame(frame: np.ndarray) -> np.ndarray:
+    """A 2D frame whose values all lie in {0, 1}; one reduction on uint8."""
+    frame = _check_frame(frame)
+    if frame.dtype == np.bool_:
+        return frame
+    if frame.dtype == np.uint8:
+        bad = frame.size > 0 and frame.max() > 1
+    else:
+        bad = ((frame != 0) & (frame != 1)).any()
+    if bad:
+        raise ValidationError("frame values must be 0 or 1")
+    return frame
+
+
 def filter_frame(
     frame: np.ndarray, kernel: Kernel, stride: int = 1, mode: str = "dense"
 ) -> np.ndarray:
@@ -123,6 +148,31 @@ def filter_frame(
     return np.einsum("ijkl,kl->ij", windows, kernel.weights)
 
 
+def _dense_scores(frame: np.ndarray, center: Kernel, surround: Kernel) -> np.ndarray:
+    """|corr(F, D)| at stride 1 over the zero-padded frame (module docstring).
+    Taps are grouped by exact value, so any kernels work, at worst one group
+    per tap."""
+    d = difference_kernel(center, surround)
+    n = d.shape[0]
+    r = n // 2
+    h, w = frame.shape
+    if n > min(h, w):
+        raise ValidationError(f"{n}x{n} kernel does not fit a {h}x{w} frame")
+    padded = np.zeros((h + n - 1, w + n - 1), np.uint8)
+    padded[r:r + h, r:r + w] = frame
+    ys, xs = np.nonzero(d)
+    values, group = np.unique(d[ys, xs], return_inverse=True)
+    acc = np.zeros((h, w))
+    for g, value in enumerate(values):
+        taps = np.flatnonzero(group == g)
+        # each tap adds at most 1, so the count never exceeds the group size
+        count = np.zeros((h, w), np.min_scalar_type(len(taps)))
+        for t in taps:
+            count += padded[ys[t]:ys[t] + h, xs[t]:xs[t] + w]
+        acc += value * count
+    return np.abs(acc)
+
+
 def oms_scores(
     frame: np.ndarray,
     params: OmsParams,
@@ -131,15 +181,15 @@ def oms_scores(
 ) -> np.ndarray:
     """Per-position |center - surround| response before thresholding.
 
-    Dense mode returns a full-resolution map; strided mode returns the
-    coarse (pre-upsampling) grid.
+    The frame must be binary (bool, or values in {0, 1}); other values raise
+    ValidationError. Dense mode returns a full-resolution map; strided mode
+    returns the coarse (pre-upsampling) grid.
     """
+    frame = _check_binary_frame(frame)
     if center is None or surround is None:
         center, surround = params.make_kernels()
     if params.mode == "dense":
-        fc = filter_frame(frame, center, 1, "dense")
-        fs = filter_frame(frame, surround, 1, "dense")
-        return np.abs(fc - fs)
+        return _dense_scores(frame, center, surround)
     fc = filter_frame(frame, center, params.s_c, "strided")
     fs = filter_frame(frame, surround, params.s_s, "strided")
     h = min(fc.shape[0], fs.shape[0])
@@ -166,12 +216,12 @@ def oms_frame(
     surround: Kernel | None = None,
 ) -> np.ndarray:
     """Threshold the center-surround score into a {0,1} motion mask with the
-    input frame's shape. Spikes use strict inequality: score > alpha."""
-    frame = _check_frame(frame)
+    input frame's shape. Spikes use strict inequality: score > alpha. The
+    frame must be binary, as for oms_scores."""
     scores = oms_scores(frame, params, center, surround)
     mask = (scores > params.alpha).astype(np.uint8)
     if params.mode == "strided":
-        mask = _upsample_nearest(mask, frame.shape)
+        mask = _upsample_nearest(mask, np.shape(frame))
     return mask
 
 
@@ -182,7 +232,9 @@ def oms_sequence(
 
     All frames must share one shape. Per-frame work is pure, so threaded
     execution is bitwise identical to sequential; output order always
-    matches input order.
+    matches input order. Workers are capped at the frame count. In dense
+    mode a WARNING is logged when alpha is at least sum(max(D, 0)), the
+    largest score any binary frame can reach, so no pixel can spike.
     """
     frames = [_check_frame(f) for f in frames]
     if not frames:
@@ -192,6 +244,13 @@ def oms_sequence(
         if f.shape != shape:
             raise ValidationError(f"frame {i} has shape {f.shape}, expected {shape}")
     center, surround = params.make_kernels()
+    if params.mode == "dense":
+        d = difference_kernel(center, surround)
+        bound = float(d[d > 0].sum())
+        if params.alpha >= bound:
+            log.warning("alpha %g >= %.6g, the largest dense score a binary frame can reach: "
+                        "no pixel can spike", params.alpha, bound)
+    threads = min(threads, len(frames))
     if threads <= 1:
         return [oms_frame(f, params, center, surround) for f in frames]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -33,7 +33,8 @@ def make_feathered_kernel(radius: int, sigma: float) -> Kernel:
     Weight at cell (i, j) is exp(-d^2 / (2 sigma^2)) where d is the distance
     from the cell center (i + 0.5, j + 0.5) to the matrix center (radius,
     radius); cells with d > radius are zeroed, then the grid is divided by
-    its sum.
+    its sum. Raises ParameterError when that sum is zero or not finite (the
+    Gaussian underflows at every cell, or sigma is NaN).
     """
     if not isinstance(radius, (int, np.integer)) or radius < 1:
         raise ParameterError(f"kernel radius must be a positive integer, got {radius!r}")
@@ -45,9 +46,30 @@ def make_feathered_kernel(radius: int, sigma: float) -> Kernel:
     d2 = dx * dx + dy * dy
     weights = np.exp(-d2 / (2.0 * sigma * sigma))
     weights[d2 > radius * radius] = 0.0
-    weights /= weights.sum()
+    total = weights.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise ParameterError(f"kernel weights sum to {total} (radius {radius}, sigma {sigma!r})")
+    weights /= total
     weights.setflags(write=False)
     return Kernel(radius=int(radius), sigma=float(sigma), weights=weights)
+
+
+def difference_kernel(center: Kernel, surround: Kernel) -> np.ndarray:
+    """Surround minus center on one 2R x 2R grid, R the larger radius.
+
+    Dense correlation anchors a radius-r kernel so that output pixel (y, x)
+    covers input rows y-r .. y+r-1 (and the analogous columns), so on the
+    common grid each kernel sits at offset R - r. By linearity the dense
+    center response minus the surround response is -corr(F, D), and the OMS
+    score is |corr(F, D)|. Both kernels sum to one, so D sums to zero and no
+    binary frame scores above sum(max(D, 0)).
+    """
+    r = max(center.radius, surround.radius)
+    d = np.zeros((2 * r, 2 * r))
+    for kernel, sign in ((surround, 1.0), (center, -1.0)):
+        o = r - kernel.radius
+        d[o:o + kernel.size, o:o + kernel.size] += sign * kernel.weights
+    return d
 
 
 def kernel_to_text(kernel: Kernel) -> str:

@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from oms.cli import main
+from oms.cli import _resolve_threads, main
 from oms.dataset_io import mask_filename, read_mask, write_dataset
 from oms.synthetic import SceneConfig, SceneObject, generate_scene
 from oms.events import SensorGeometry
@@ -172,3 +173,19 @@ class TestKernelDump:
         grid = [[float(v) for v in line.split()] for line in result.output.strip().splitlines()]
         assert len(grid) == 4 and all(len(r) == 4 for r in grid)
         assert abs(sum(sum(r) for r in grid) - 1.0) < 1e-9
+
+
+class TestThreads:
+    def test_auto_uses_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _resolve_threads("auto") == 3
+        assert _resolve_threads(None) == 3
+        assert _resolve_threads("2") == 2
+
+    def test_auto_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert _resolve_threads("auto") == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_threads("auto") == 1

@@ -1,10 +1,13 @@
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oms import engine
 from oms import (
     ConfigError,
+    Kernel,
     OmsParams,
     ParameterError,
     ValidationError,
@@ -16,6 +19,7 @@ from oms import (
     oms_scores,
     oms_sequence,
 )
+from oms.kernels import difference_kernel
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -116,6 +120,80 @@ class TestFilterFrame:
                 assert out.min() >= 0.0 and out.max() <= 1.0 + 1e-12
 
 
+class TestDenseScores:
+    @pytest.mark.parametrize("r1, r2, sigma_c, sigma_s", [
+        (2, 4, None, None),
+        (1, 3, None, None),
+        (3, 5, None, None),
+        (2, 4, 0.7, 3.1),
+    ])
+    def test_matches_four_loop_oracle(self, rng, r1, r2, sigma_c, sigma_s):
+        params = OmsParams(r1=r1, r2=r2, sigma_c=sigma_c, sigma_s=sigma_s)
+        center, surround = params.make_kernels()
+        for h, w in ((2 * r2 + 5, 2 * r2), (23, 31), (31, 2 * r2 + 3)):
+            frame = (rng.random((h, w)) < 0.4).astype(np.uint8)
+            want = np.abs(reference_filter(frame, center.weights, r1, 1, "dense")
+                          - reference_filter(frame, surround.weights, r2, 1, "dense"))
+            for f in (frame, frame.astype(bool)):
+                got = oms_scores(f, params)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_kernel_too_large(self):
+        with pytest.raises(ValidationError):
+            oms_scores(np.zeros((7, 40), np.uint8), OmsParams())
+
+    def test_large_tap_group_does_not_wrap(self):
+        # A flat 20x20 surround puts 384 equal taps in one group, more than
+        # a uint8 count can hold.
+        params = OmsParams(r1=2, r2=10)
+        center = make_feathered_kernel(2, 1.0)
+        surround = Kernel(radius=10, sigma=1.0, weights=np.full((20, 20), 1 / 400))
+        frame = np.ones((20, 24), np.uint8)
+        want = np.abs(reference_filter(frame, center.weights, 2, 1, "dense")
+                      - reference_filter(frame, surround.weights, 10, 1, "dense"))
+        got = oms_scores(frame, params, center, surround)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("fixture", ["br1_data", "br3_data"])
+    def test_no_fixture_score_near_thresholds(self, request, fixture):
+        # A score within rounding of a threshold could flip a golden mask
+        # when the summation order changes.
+        frames, _ = request.getfixturevalue(fixture)
+        params = OmsParams()
+        center, surround = params.make_kernels()
+        margin = min(
+            np.min(np.abs(oms_scores(f, params, center, surround) - alpha))
+            for f in frames
+            for alpha in (0.05, 0.13, 0.3)
+        )
+        assert margin > 1e-9
+
+
+class TestBinaryFrameContract:
+    @pytest.mark.parametrize("mode", ["dense", "strided"])
+    @pytest.mark.parametrize("dtype, value", [
+        (np.uint8, 7), (np.uint8, 37), (np.uint8, 255),
+        (np.int64, -1), (np.float64, 0.5), (np.float64, np.nan),
+    ])
+    def test_non_binary_rejected(self, mode, dtype, value):
+        frame = np.zeros((32, 32), dtype)
+        frame[16, 16] = value
+        params = OmsParams(mode=mode)
+        with pytest.raises(ValidationError):
+            oms_scores(frame, params)
+        with pytest.raises(ValidationError):
+            oms_frame(frame, params)
+        with pytest.raises(ValidationError):
+            oms_sequence([frame], params)
+
+    def test_binary_dtypes_agree(self, rng):
+        frame = (rng.random((32, 40)) < 0.3).astype(np.uint8)
+        want = oms_scores(frame, OmsParams())
+        for dtype in (bool, np.int64, np.float64):
+            assert np.array_equal(oms_scores(frame.astype(dtype), OmsParams()), want)
+
+
 class TestOmsFrame:
     def test_zero_frame_zero_mask(self):
         mask = oms_frame(np.zeros((32, 32), np.uint8), OmsParams())
@@ -186,6 +264,49 @@ class TestOmsSequence:
         seq = oms_sequence(frames, params, threads=1)
         par = oms_sequence(frames, params, threads=4)
         assert all(np.array_equal(a, b) for a, b in zip(seq, par))
+
+    def test_workers_capped_at_frame_count(self, monkeypatch, rng):
+        workers = []
+
+        class RecordingPool:
+            """Stands in for ThreadPoolExecutor; runs the work in this thread."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+        frame = (rng.random((32, 32)) < 0.3).astype(np.uint8)
+        params = OmsParams(alpha=0.13)
+        masks = oms_sequence([frame] * 3, params, threads=64)
+        assert workers == [3] and len(masks) == 3
+        oms_sequence([frame], params, threads=8)
+        assert workers == [3]  # one frame runs inline, without a pool
+
+    def test_warns_when_alpha_cannot_fire(self, caplog):
+        frames = [np.zeros((16, 16), np.uint8)]
+        d = difference_kernel(*OmsParams().make_kernels())
+        bound = float(d[d > 0].sum())
+
+        def warnings_for(alpha):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="oms"):
+                oms_sequence(frames, OmsParams(alpha=alpha))
+            return [r for r in caplog.records
+                    if r.name == "oms" and r.levelno == logging.WARNING]
+
+        assert len(warnings_for(OmsParams().alpha)) == 1
+        assert len(warnings_for(bound)) == 1
+        assert warnings_for(np.nextafter(bound, 0.0)) == []
+        assert warnings_for(0.13) == []
 
 
 class TestApplyMask:

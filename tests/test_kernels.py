@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oms import ParameterError, kernel_to_text, make_feathered_kernel
+from oms.kernels import difference_kernel
 
 RADII = range(1, 17)
 SIGMAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -68,6 +69,28 @@ def test_invalid_parameters():
         make_feathered_kernel(2, 0.0)
     with pytest.raises(ParameterError):
         make_feathered_kernel(2, -1.0)
+
+
+@pytest.mark.parametrize("radius, sigma", [(4, 1e-3), (2, float("nan"))])
+def test_weights_that_cannot_be_normalized(radius, sigma):
+    # The Gaussian underflows to 0 at every cell (or is NaN): dividing by
+    # its sum would give NaN weights.
+    with pytest.raises(ParameterError):
+        make_feathered_kernel(radius, sigma)
+
+
+@pytest.mark.parametrize("r1, r2, sigma_c, sigma_s", [
+    (2, 4, 1.0, 2.0), (1, 3, 0.5, 1.5), (3, 5, 0.7, 3.1),
+])
+def test_difference_kernel_matches_reference(r1, r2, sigma_c, sigma_s):
+    center = make_feathered_kernel(r1, sigma_c)
+    surround = make_feathered_kernel(r2, sigma_s)
+    want = reference_kernel(r2, sigma_s)
+    offset = r2 - r1
+    want[offset:offset + 2 * r1, offset:offset + 2 * r1] -= reference_kernel(r1, sigma_c)
+    for d in (difference_kernel(center, surround), -difference_kernel(surround, center)):
+        assert np.max(np.abs(d - want)) < 1e-12
+    assert abs(want.sum()) < 1e-12
 
 
 def test_text_dump_round_trip():
