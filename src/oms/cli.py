@@ -7,6 +7,7 @@ environment variable sets log verbosity (DEBUG/INFO/WARNING/ERROR).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import logging
@@ -19,10 +20,18 @@ import click
 import numpy as np
 
 from . import dataset_io
-from .dataset_io import DatasetManifest, load_dataset, write_dataset, write_mask, read_mask
-from .engine import OmsParams, apply_mask, oms_sequence
+from .dataset_io import (
+    DatasetManifest,
+    _write_pgm,
+    mask_filename,
+    read_events,
+    read_mask,
+    write_dataset,
+    write_mask,
+)
+from .engine import OmsParams, oms_sequence
 from .errors import OmsError
-from .events import accumulate_frame, window_events
+from .events import bin_events
 from .kernels import kernel_to_text, make_feathered_kernel
 from .metrics import evaluate_sequence
 from .synthetic import SceneConfig, generate_scene
@@ -114,12 +123,37 @@ def _load_manifest(manifest_path: str) -> DatasetManifest:
     return DatasetManifest.load(path)
 
 
-def build_frames(manifest_path):
-    """(manifest, dvs frames, gt masks) for a dataset: window + accumulate."""
-    manifest, events, masks = load_dataset(manifest_path)
-    windows = window_events(events, manifest.mask_timestamps)
-    frames = [accumulate_frame(w, manifest.geometry) for w in windows]
-    return manifest, frames, masks
+def build_frames(manifest_path, timings: dict | None = None):
+    """(manifest, (T, H, W) uint8 stack of binary frames) for a dataset.
+
+    With a timings dict, records the "load" (manifest + events) and "bin"
+    stages in it, in milliseconds.
+    """
+    timings = {} if timings is None else timings
+    with _timed(timings, "load"):
+        manifest = _load_manifest(manifest_path)
+        event_path, _ = manifest.resolve(Path(manifest_path).parent)
+        events = read_events(event_path)
+    with _timed(timings, "bin"):
+        frames = bin_events(events, manifest.mask_timestamps, manifest.geometry)
+    return manifest, frames
+
+
+def _read_gts(manifest: DatasetManifest, manifest_path) -> list[np.ndarray]:
+    """The dataset's ground-truth masks, one per mask timestamp."""
+    _, mask_dir = manifest.resolve(Path(manifest_path).parent)
+    return [read_mask(mask_dir / mask_filename(i), manifest.geometry)
+            for i in range(len(manifest.mask_timestamps))]
+
+
+@contextlib.contextmanager
+def _timed(timings: dict, stage: str):
+    """Add the with-block's wall time to timings[stage], in milliseconds."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - t0) * 1e3
 
 
 @main.command("run")
@@ -133,25 +167,28 @@ def build_frames(manifest_path):
 @handle_errors
 def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags):
     """Run OMS over a dataset and write one mask per ground-truth timestamp."""
-    _load_manifest(manifest_path)  # early existence check for a clean exit 2
     config_doc = json.loads(Path(config_path).read_text()) if config_path else {}
     params = resolve_params(config_doc, **flags)
     if emit_overlays is None:
         emit_overlays = bool(config_doc.get("emit_overlays", False))
     n_threads = _resolve_threads(threads if threads is not None else config_doc.get("threads"))
 
-    manifest, frames, gts = build_frames(manifest_path)
-    t0 = time.perf_counter()
-    preds = oms_sequence(frames, params, threads=n_threads)
-    elapsed = time.perf_counter() - t0
+    timings: dict[str, float] = {}
+    manifest, frames = build_frames(manifest_path, timings)
+    with _timed(timings, "score"):
+        preds = oms_sequence(frames, params, threads=n_threads)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for i, pred in enumerate(preds):
-        write_mask(pred, out / PRED_PATTERN.format(i))
+    with _timed(timings, "write"):
+        for i, pred in enumerate(preds):
+            write_mask(pred, out / PRED_PATTERN.format(i))
     if emit_overlays:
-        for i, (frame, gt, pred) in enumerate(zip(frames, gts, preds)):
-            _write_overlay(out / f"overlay_{i:05d}.pgm", frame, gt, pred)
+        with _timed(timings, "load"):
+            gts = _read_gts(manifest, manifest_path)
+        with _timed(timings, "write"):
+            for i, (frame, gt, pred) in enumerate(zip(frames, gts, preds)):
+                _write_overlay(out / f"overlay_{i:05d}.pgm", frame, gt, pred)
     run_doc = {
         "format_version": dataset_io.FORMAT_VERSION,
         "manifest": str(Path(manifest_path).resolve()),
@@ -163,25 +200,19 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
         "threads": n_threads,
         "frames": len(preds),
         "emit_overlays": bool(emit_overlays),
+        "timings_ms": {stage: round(timings[stage], 3)
+                       for stage in ("load", "bin", "score", "write")},
     }
     (out / RUN_MANIFEST_NAME).write_text(json.dumps(run_doc, indent=2) + "\n")
-    log.info("processed %d frames in %.3fs", len(preds), elapsed)
+    log.info("processed %d frames in %.3fs", len(preds), timings["score"] / 1e3)
     click.echo(f"wrote {len(preds)} masks to {out}")
 
 
 def _write_overlay(path, frame, gt, pred):
     """Side-by-side composite: DVS frame | GT-masked frame | OMS-masked frame."""
-    panels = [frame, apply_mask(frame, gt), apply_mask(frame, pred)]
     sep = np.full((frame.shape[0], 1), 128, dtype=np.uint8)
-    strips = []
-    for k, panel in enumerate(panels):
-        strips.append(panel.astype(np.uint8) * 255)
-        if k < len(panels) - 1:
-            strips.append(sep)
-    composite = np.hstack(strips)
-    Path(path).write_bytes(
-        f"P5\n{composite.shape[1]} {composite.shape[0]}\n255\n".encode() + composite.tobytes()
-    )
+    composite = np.hstack([frame * 255, sep, (frame & gt) * 255, sep, (frame & pred) * 255])
+    _write_pgm(composite, path)
 
 
 @main.command("eval")
@@ -192,7 +223,8 @@ def _write_overlay(path, frame, gt, pred):
 @handle_errors
 def cmd_eval(pred_dir, manifest_path, out_path, verbose):
     """Evaluate predicted masks against a dataset's ground truth."""
-    manifest, frames, gts = build_frames(manifest_path)
+    manifest, frames = build_frames(manifest_path)
+    gts = _read_gts(manifest, manifest_path)
     preds = [
         read_mask(Path(pred_dir) / PRED_PATTERN.format(i), manifest.geometry)
         for i in range(len(gts))
@@ -232,10 +264,9 @@ def cmd_synth(scene_config, out_dir):
 @handle_errors
 def cmd_bench(manifest_path, threads, **flags):
     """Measure per-frame latency percentiles and throughput."""
-    _load_manifest(manifest_path)
     params = resolve_params({}, **flags)
-    manifest, frames, _ = build_frames(manifest_path)
-    if not frames:
+    manifest, frames = build_frames(manifest_path)
+    if len(frames) == 0:
         click.echo("no frames in dataset; nothing to benchmark")
         return
     n_threads = _resolve_threads(threads)

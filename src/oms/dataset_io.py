@@ -18,6 +18,7 @@ mask_dir, mask_timestamps (integers, microseconds), source.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,9 +48,11 @@ def write_events(events, geometry: SensorGeometry, path) -> None:
 def read_events(path) -> np.ndarray:
     """Read a native binary event file (or the CSV fallback) into EVENT_DTYPE."""
     path = Path(path)
-    data = path.read_bytes()
-    if data[:4] == MAGIC:
-        return _parse_native(data, path)
+    with open(path, "rb") as f:
+        head = f.read(HEADER_SIZE)
+        if head[:4] == MAGIC:
+            return _parse_native(f, head, path)
+        data = head + f.read()
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError:
@@ -61,31 +64,40 @@ def read_events(path) -> np.ndarray:
 
 def event_file_geometry(path) -> SensorGeometry:
     """Sensor geometry from a native event file header."""
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC or len(data) < HEADER_SIZE:
+    with open(path, "rb") as f:
+        head = f.read(HEADER_SIZE)
+    if head[:4] != MAGIC or len(head) < HEADER_SIZE:
         raise ParseError(f"{path}: not a native event file")
-    w, h = struct.unpack("<HH", data[4:8])
+    w, h = struct.unpack("<HH", head[4:8])
     return SensorGeometry(w, h)
 
 
-def _parse_native(data: bytes, path: Path) -> np.ndarray:
-    if len(data) < HEADER_SIZE:
-        raise ParseError(f"{path}: truncated header at byte offset {len(data)}")
-    w, h = struct.unpack("<HH", data[4:8])
-    body = len(data) - HEADER_SIZE
+def _parse_native(f, head: bytes, path: Path) -> np.ndarray:
+    """Records of an open native file positioned just past its header."""
+    if len(head) < HEADER_SIZE:
+        raise ParseError(f"{path}: truncated header at byte offset {len(head)}")
+    w, h = struct.unpack("<HH", head[4:8])
+    body = os.fstat(f.fileno()).st_size - HEADER_SIZE
     if body % RECORD_SIZE:
         raise ParseError(
             f"{path}: truncated record at byte offset "
             f"{HEADER_SIZE + (body // RECORD_SIZE) * RECORD_SIZE}"
         )
-    events = np.frombuffer(data, dtype=EVENT_DTYPE, offset=HEADER_SIZE).copy()
-    bad = np.nonzero(
-        ~np.isin(events["p"], (-1, 1)) | (events["x"] >= w) | (events["y"] >= h)
-    )[0]
-    if bad.size:
-        i = int(bad[0])
+    events = np.fromfile(f, dtype=EVENT_DTYPE, count=body // RECORD_SIZE)
+    # abs(-128) wraps to -128 in int8, which still fails the test.
+    bad = (events["x"] >= w) | (events["y"] >= h) | (np.abs(events["p"]) != 1)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ParseError(f"{path}: invalid record at byte offset {HEADER_SIZE + i * RECORD_SIZE}")
     return events
+
+
+# Inclusive range of the t, x and y columns, so that no value overflows its
+# EVENT_DTYPE field; p is checked against {-1, +1}.
+_CSV_RANGES = tuple(
+    (name, int(np.iinfo(EVENT_DTYPE[name]).min), int(np.iinfo(EVENT_DTYPE[name]).max))
+    for name in ("t", "x", "y")
+)
 
 
 def _parse_csv(text: str, path: Path) -> np.ndarray:
@@ -98,14 +110,20 @@ def _parse_csv(text: str, path: Path) -> np.ndarray:
         if len(parts) != 4:
             raise ParseError(f"{path}: malformed CSV line {lineno + 1}")
         try:
-            rows.append(tuple(int(v) for v in parts))
+            row = tuple(int(v) for v in parts)
         except ValueError as exc:
             raise ParseError(f"{path}: malformed CSV line {lineno + 1}: {exc}") from exc
-    events = np.array(rows, dtype=EVENT_DTYPE) if rows else np.empty(0, dtype=EVENT_DTYPE)
-    bad = np.nonzero(~np.isin(events["p"], (-1, 1)))[0]
-    if bad.size:
-        raise ParseError(f"{path}: invalid polarity on CSV row {int(bad[0]) + 1}")
-    return events
+        for value, (name, lo, hi) in zip(row, _CSV_RANGES):
+            if not lo <= value <= hi:
+                raise ParseError(
+                    f"{path}: {name}={value} out of range [{lo}, {hi}] on CSV line {lineno + 1}"
+                )
+        if row[3] not in (-1, 1):
+            raise ParseError(f"{path}: invalid polarity on CSV line {lineno + 1}")
+        rows.append(row)
+    if not rows:
+        return np.empty(0, dtype=EVENT_DTYPE)
+    return np.array(rows, dtype=EVENT_DTYPE)
 
 
 # --- PGM masks -------------------------------------------------------------
@@ -116,9 +134,13 @@ def write_mask(mask: np.ndarray, path) -> None:
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ValidationError(f"mask must be 2D, got shape {mask.shape}")
-    h, w = mask.shape
-    body = ((mask > 0).astype(np.uint8) * 255).tobytes()
-    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + body)
+    _write_pgm((mask > 0).astype(np.uint8) * 255, path)
+
+
+def _write_pgm(pixels: np.ndarray, path) -> None:
+    """Write a 2D uint8 array as binary PGM (P5, maxval 255)."""
+    h, w = pixels.shape
+    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
 
 
 def read_mask(path, geometry: SensorGeometry | None = None) -> np.ndarray:
@@ -151,6 +173,8 @@ def read_mask(path, geometry: SensorGeometry | None = None) -> np.ndarray:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise ParseError(f"{path}: malformed PGM header: {exc}") from exc
+    if w < 1 or h < 1:
+        raise ParseError(f"{path}: PGM size {w}x{h} is not at least 1x1")
     if maxval > 255:
         raise ParseError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
     if len(data) - i < w * h:
@@ -198,24 +222,42 @@ class DatasetManifest:
     def load(cls, path) -> "DatasetManifest":
         path = Path(path)
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            doc = json.loads(path.read_bytes().decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
             raise ParseError(f"{path}: invalid manifest JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError(f"{path}: manifest must be a JSON object")
         try:
-            return cls(
-                geometry=SensorGeometry(doc["geometry"]["width"], doc["geometry"]["height"]),
-                event_file=doc["event_file"],
-                mask_dir=doc["mask_dir"],
-                mask_timestamps=tuple(doc["mask_timestamps"]),
-                source=doc.get("source", "native"),
-            )
+            geometry = doc["geometry"]
+            if not isinstance(geometry, dict):
+                raise ParseError(f"{path}: geometry must be an object")
+            width, height = (_manifest_int(path, f"geometry.{k}", geometry[k], 1, 0xFFFF)
+                             for k in ("width", "height"))
+            timestamps = doc["mask_timestamps"]
+            if not isinstance(timestamps, list):
+                raise ParseError(f"{path}: mask_timestamps must be a list")
+            timestamps = tuple(_manifest_int(path, "mask_timestamps", t, -(2**63), 2**63 - 1)
+                               for t in timestamps)
+            strings = {k: doc[k] for k in ("event_file", "mask_dir")}
+            strings["source"] = doc.get("source", "native")
         except KeyError as exc:
             raise ParseError(f"{path}: manifest missing field {exc}") from exc
+        for key, value in strings.items():
+            if not isinstance(value, str):
+                raise ParseError(f"{path}: {key} must be a string")
+        return cls(geometry=SensorGeometry(width, height), mask_timestamps=timestamps, **strings)
 
     def resolve(self, base) -> tuple[Path, Path]:
         """Event file and mask dir paths, relative to the manifest location."""
         base = Path(base)
         return base / self.event_file, base / self.mask_dir
+
+
+def _manifest_int(path: Path, key: str, value, lo: int, hi: int) -> int:
+    """A manifest integer in [lo, hi] (width and height are u16 in event files)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise ParseError(f"{path}: {key} must be an integer in [{lo}, {hi}], got {value!r}")
+    return value
 
 
 def write_dataset(

@@ -3,7 +3,9 @@
 Events are DVS brightness-change records (t, x, y, p) with t in integer
 microseconds and polarity p in {-1, +1}. Streams are kept as numpy
 structured arrays (EVENT_DTYPE) so that windowing and accumulation are
-vectorized; single records use the Event named tuple.
+vectorized; single records use the Event named tuple. bin_events turns a
+whole stream into a (T, H, W) stack of binary frames in one pass;
+window_events and accumulate_frame do the same one window at a time.
 
 The accumulation step collapses both time and polarity: a pixel of the
 output binary frame is 1 iff at least one event of either polarity landed
@@ -66,23 +68,48 @@ def validate_stream(events: np.ndarray, geometry: SensorGeometry | None = None) 
     Raises ValidationError naming the first offending index.
     """
     events = as_event_array(events)
-    t = events["t"].astype(np.int64)
-    if len(t) > 1:
-        bad = np.nonzero(np.diff(t) < 0)[0]
-        if bad.size:
-            raise ValidationError(f"event stream unsorted: t decreases at index {int(bad[0]) + 1}")
-    bad_p = np.nonzero(~np.isin(events["p"], (-1, 1)))[0]
-    if bad_p.size:
-        raise ValidationError(f"invalid polarity at event index {int(bad_p[0])}")
+    _check_order_and_polarity(events)
     if geometry is not None:
-        oob = np.nonzero((events["x"] >= geometry.width) | (events["y"] >= geometry.height))[0]
-        if oob.size:
-            i = int(oob[0])
-            raise ValidationError(
-                f"event {i} at (x={int(events['x'][i])}, y={int(events['y'][i])}) "
-                f"outside {geometry.width}x{geometry.height} sensor"
-            )
+        _check_bounds(events, geometry)
     return events
+
+
+def _check_order_and_polarity(events: np.ndarray) -> np.ndarray:
+    """The stream's timestamps as int64, after checking they never decrease
+    and that every polarity is -1 or +1."""
+    t = events["t"].astype(np.int64)
+    unsorted = t[1:] < t[:-1]
+    if unsorted.any():
+        raise ValidationError(
+            f"event stream unsorted: t decreases at index {int(np.argmax(unsorted)) + 1}"
+        )
+    bad_p = np.abs(events["p"]) != 1  # abs(-128) wraps to -128 in int8: still bad
+    if bad_p.any():
+        raise ValidationError(f"invalid polarity at event index {int(np.argmax(bad_p))}")
+    return t
+
+
+def _check_bounds(events: np.ndarray, geometry: SensorGeometry) -> None:
+    x, y = events["x"], events["y"]
+    if x.size and (int(x.max()) >= geometry.width or int(y.max()) >= geometry.height):
+        i = int(np.argmax((x >= geometry.width) | (y >= geometry.height)))
+        raise ValidationError(
+            f"event {i} at (x={int(x[i])}, y={int(y[i])}) "
+            f"outside {geometry.width}x{geometry.height} sensor"
+        )
+
+
+def _window_bounds(t: np.ndarray, mask_timestamps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The window rule of window_events, for a sorted int64 time column.
+
+    Returns (timestamps, bounds): window k is events[bounds[k]:bounds[k + 1]].
+    """
+    ts = np.asarray(mask_timestamps, dtype=np.int64)
+    if ts.size and np.any(np.diff(ts) <= 0):
+        raise ValidationError("mask timestamps must be strictly increasing")
+    bounds = np.zeros(ts.size + 1, dtype=np.int64)
+    bounds[1:] = np.searchsorted(t, ts, side="right")
+    return ts, bounds
 
 
 @dataclass(frozen=True)
@@ -105,6 +132,15 @@ class EventWindow:
             if np.any(np.diff(t) < 0):
                 raise ValidationError("window events not time-ordered")
 
+    @classmethod
+    def _unchecked(cls, events: np.ndarray, t_start: int, t_end: int) -> "EventWindow":
+        """A window cut by the window rule from an already validated stream."""
+        window = object.__new__(cls)
+        object.__setattr__(window, "events", events)
+        object.__setattr__(window, "t_start", t_start)
+        object.__setattr__(window, "t_end", t_end)
+        return window
+
     def __len__(self) -> int:
         return len(self.events)
 
@@ -119,19 +155,39 @@ def window_events(
     Events after the last timestamp are dropped (no ground truth exists
     for them).
     """
-    ev = validate_stream(stream)
-    ts = np.asarray(mask_timestamps, dtype=np.int64)
-    if ts.size and np.any(np.diff(ts) <= 0):
-        raise ValidationError("mask timestamps must be strictly increasing")
-    bounds = np.searchsorted(ev["t"].astype(np.int64), ts, side="right")
-    windows = []
-    lo = 0
-    t_prev = -1
-    for k, hi in enumerate(bounds):
-        windows.append(EventWindow(ev[lo:hi], t_prev, int(ts[k])))
-        lo = int(hi)
-        t_prev = int(ts[k])
-    return windows
+    ev = as_event_array(stream)
+    ts, bounds = _window_bounds(_check_order_and_polarity(ev), mask_timestamps)
+    edges = [-1] + ts.tolist()
+    return [
+        EventWindow._unchecked(ev[bounds[k] : bounds[k + 1]], edges[k], edges[k + 1])
+        for k in range(ts.size)
+    ]
+
+
+def bin_events(
+    stream: EventsLike, mask_timestamps: Sequence[int], geometry: SensorGeometry
+) -> np.ndarray:
+    """Bin a sorted stream into one binary frame per mask timestamp.
+
+    Returns a (T, height, width) uint8 stack whose frame k equals
+    accumulate_frame(window_events(stream, mask_timestamps)[k], geometry).
+    Order and polarity are checked once over the whole stream, bounds
+    over the events that land in a window.
+    """
+    geometry = SensorGeometry(*geometry).validate()
+    ev = as_event_array(stream)
+    _, bounds = _window_bounds(_check_order_and_polarity(ev), mask_timestamps)
+    _check_bounds(ev[: bounds[-1]], geometry)
+    stack = np.zeros((bounds.size - 1, *geometry.shape), dtype=np.uint8)
+    x, y = ev["x"], ev["y"]
+    for k, frame in enumerate(stack.reshape(len(stack), geometry.height * geometry.width)):
+        lo, hi = bounds[k], bounds[k + 1]
+        # Per-window flat index: its temporaries are one window long.
+        index = y[lo:hi].astype(np.intp)
+        index *= geometry.width
+        index += x[lo:hi]
+        frame[index] = 1
+    return stack
 
 
 def accumulate_frame(
@@ -144,9 +200,7 @@ def accumulate_frame(
     """
     geometry = SensorGeometry(*geometry).validate()
     ev = window.events if isinstance(window, EventWindow) else as_event_array(window)
-    oob = np.nonzero((ev["x"] >= geometry.width) | (ev["y"] >= geometry.height))[0]
-    if oob.size:
-        raise ValidationError(f"event {int(oob[0])} outside sensor bounds")
+    _check_bounds(ev, geometry)
     frame = np.zeros(geometry.shape, dtype=np.uint8)
     frame[ev["y"], ev["x"]] = 1
     return frame

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import apply_mask
 from .errors import ValidationError
 
 #: Sentinel returned by iou() when both masks are empty (frame skipped).
@@ -49,7 +48,12 @@ def detection(pred: np.ndarray, gt: np.ndarray) -> bool:
     inter, _, outside, gt_area = _counts(pred, gt)
     if gt_area == 0:
         raise ValidationError("detection is undefined for an empty ground truth")
-    return inter >= 0.5 * gt_area and inter > outside
+    return bool(_detected(inter, outside, gt_area))
+
+
+def _detected(inter, outside, gt_area):
+    """The detection rule, elementwise on counts (ints or integer arrays)."""
+    return (inter >= 0.5 * gt_area) & (inter > outside)
 
 
 def bf_ratio(dvs_frame: np.ndarray, gt: np.ndarray) -> float:
@@ -82,7 +86,7 @@ def score_frame(pred: np.ndarray, gt: np.ndarray) -> FrameScore:
         raise ValidationError("cannot score a frame with empty ground truth")
     return FrameScore(
         iou=inter / union,
-        detected=inter >= 0.5 * gt_area and inter > outside,
+        detected=bool(_detected(inter, outside, gt_area)),
         gt_area=gt_area,
         inter_area=inter,
         outside_inter_area=outside,
@@ -120,32 +124,57 @@ def evaluate_sequence(
         raise ValidationError(
             f"length mismatch: {len(preds)} preds, {len(gts)} gts, {len(dvs_frames)} frames"
         )
-    ious: list[float] = []
-    detected = 0
-    brs: list[float] = []
-    frame_scores: list[FrameScore | None] = []
-    skipped = 0
-    for pred, gt, dvs in zip(preds, gts, dvs_frames):
-        gt_m = apply_mask(dvs, gt)
-        if not gt_m.any():
-            skipped += 1
-            frame_scores.append(None)
-            continue
-        pred_m = apply_mask(dvs, pred)
-        s = score_frame(pred_m, gt_m)
-        frame_scores.append(s)
-        ious.append(s.iou)
-        detected += int(s.detected)
-        brs.append(bf_ratio(dvs, gt))
+    dvs = _bool_stack(dvs_frames, "frame")
+    gt_m = _bool_stack(gts, "mask")
+    pred_m = _bool_stack(preds, "mask")
+    if not (dvs.shape == gt_m.shape == pred_m.shape):
+        raise ValidationError(
+            f"shape mismatch: frames {dvs.shape}, gts {gt_m.shape}, preds {pred_m.shape}"
+        )
+    gt_m &= dvs
+    pred_m &= dvs
+    active, gt_area, pred_area = (_frame_counts(m) for m in (dvs, gt_m, pred_m))
+    pred_m &= gt_m
+    inter = _frame_counts(pred_m)
+    keep = gt_area > 0
+    inter, gt_area, pred_area, active = (c[keep] for c in (inter, gt_area, pred_area, active))
+    outside = pred_area - inter
+    ious = inter / (pred_area + gt_area - inter)
+    detected = _detected(inter, outside, gt_area)
     n = len(ious)
     report = SequenceReport(
         mean_iou=100.0 * float(np.mean(ious)) if n else 0.0,
         iou_std=100.0 * float(np.std(ious)) if n else 0.0,
-        detection_rate=100.0 * detected / n if n else 0.0,
+        detection_rate=100.0 * int(detected.sum()) / n if n else 0.0,
         frames_evaluated=n,
-        frames_skipped=skipped,
-        br_mean=float(np.mean(brs)) if n else 0.0,
+        frames_skipped=len(keep) - n,
+        br_mean=float(np.mean((active - gt_area) / gt_area)) if n else 0.0,
     )
-    if with_frames:
-        return report, frame_scores
-    return report
+    if not with_frames:
+        return report
+    frame_scores: list[FrameScore | None] = [None] * len(keep)
+    for j, k in enumerate(np.flatnonzero(keep)):
+        frame_scores[k] = FrameScore(
+            iou=float(ious[j]),
+            detected=bool(detected[j]),
+            gt_area=int(gt_area[j]),
+            inter_area=int(inter[j]),
+            outside_inter_area=int(outside[j]),
+        )
+    return report, frame_scores
+
+
+def _bool_stack(frames: Sequence[np.ndarray], what: str) -> np.ndarray:
+    """A (T, H, W) bool copy of a sequence (or stack) of equal-shape 2D frames."""
+    try:
+        stack = np.array(list(frames), dtype=bool)
+    except ValueError as exc:  # frames of different shapes
+        raise ValidationError(f"shape mismatch between {what}s: {exc}") from exc
+    if len(stack) and stack.ndim != 3:
+        raise ValidationError(f"each {what} must be 2D, got shape {stack.shape[1:]}")
+    return stack
+
+
+def _frame_counts(stack: np.ndarray) -> np.ndarray:
+    """Nonzero count of each frame of a bool stack."""
+    return np.array([np.count_nonzero(frame) for frame in stack], dtype=np.int64)

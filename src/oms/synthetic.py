@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
-from .events import EVENT_DTYPE, SensorGeometry, accumulate_frame, window_events
+from .errors import ParameterError, ParseError
+from .events import EVENT_DTYPE, SensorGeometry, bin_events
 from .metrics import bf_ratio
 
 FRAME_DT_US = 1000
@@ -95,23 +95,26 @@ class SceneConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneConfig":
-        return cls(
-            geometry=SensorGeometry(d["geometry"]["width"], d["geometry"]["height"]),
-            n_frames=d["n_frames"],
-            bg_density=d["bg_density"],
-            camera_velocity=tuple(d["camera_velocity"]),
-            objects=tuple(
-                SceneObject(
-                    shape=o["shape"],
-                    size=o["size"],
-                    velocity=tuple(o["velocity"]),
-                    start=tuple(o["start"]),
-                )
-                for o in d["objects"]
-            ),
-            noise_rate=d.get("noise_rate", 0.0),
-            seed=d.get("seed", 0),
-        )
+        try:
+            return cls(
+                geometry=SensorGeometry(d["geometry"]["width"], d["geometry"]["height"]),
+                n_frames=d["n_frames"],
+                bg_density=d["bg_density"],
+                camera_velocity=tuple(d["camera_velocity"]),
+                objects=tuple(
+                    SceneObject(
+                        shape=o["shape"],
+                        size=o["size"],
+                        velocity=tuple(o["velocity"]),
+                        start=tuple(o["start"]),
+                    )
+                    for o in d["objects"]
+                ),
+                noise_rate=d.get("noise_rate", 0.0),
+                seed=d.get("seed", 0),
+            )
+        except KeyError as exc:
+            raise ParseError(f"scene config missing field {exc}") from exc
 
 
 def _object_footprint(obj: SceneObject, frame_index: int, shape: tuple[int, int]) -> np.ndarray:
@@ -199,10 +202,9 @@ def scene_br(config: SceneConfig) -> float:
     if not config.objects:
         raise ParameterError("scene_br needs at least one object")
     events, masks, timestamps = generate_scene(config)
-    windows = window_events(events, timestamps)
     ratios = []
-    for win, mask in zip(windows, masks):
-        r = bf_ratio(accumulate_frame(win, config.geometry), mask)
+    for frame, mask in zip(bin_events(events, timestamps, config.geometry), masks):
+        r = bf_ratio(frame, mask)
         if np.isfinite(r):
             ratios.append(r)
     return float(np.mean(ratios)) if ratios else float("inf")

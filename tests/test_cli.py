@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from oms.cli import _resolve_threads, main
-from oms.dataset_io import mask_filename, read_mask, write_dataset
+from oms.dataset_io import DatasetManifest, mask_filename, read_events, read_mask, write_dataset
+from oms.events import accumulate_frame, window_events
 from oms.synthetic import SceneConfig, SceneObject, generate_scene
 from oms.events import SensorGeometry
 
@@ -81,6 +82,61 @@ class TestRun:
         assert result.exit_code == 0, result.output
         assert len(list(out.glob("overlay_*.pgm"))) == n
 
+    def test_overlay_bytes(self, dataset, tmp_path):
+        # Hand-built composite: frame | frame AND gt | frame AND pred, 0/255,
+        # with a one-pixel 128 column between panels.
+        manifest_path, n = dataset
+        out = tmp_path / "run"
+        result = run_cli("run", "--manifest", manifest_path, "--out", out,
+                         "--alpha", 0.13, "--emit-overlays")
+        assert result.exit_code == 0, result.output
+        manifest = DatasetManifest.load(manifest_path)
+        events = read_events(manifest_path.parent / manifest.event_file)
+        windows = window_events(events, manifest.mask_timestamps)
+        h, w = 48, 64
+        for i, window in enumerate(windows):
+            frame = accumulate_frame(window, manifest.geometry)
+            gt = read_mask(manifest_path.parent / "masks" / mask_filename(i))
+            pred = read_mask(out / f"oms_{i:05d}.pgm")
+            rows = []
+            for y in range(h):
+                row = [255 * int(frame[y, x]) for x in range(w)] + [128]
+                row += [255 * int(frame[y, x] and gt[y, x]) for x in range(w)] + [128]
+                row += [255 * int(frame[y, x] and pred[y, x]) for x in range(w)]
+                rows.append(bytes(row))
+            expected = f"P5\n{3 * w + 2} {h}\n255\n".encode() + b"".join(rows)
+            assert (out / f"overlay_{i:05d}.pgm").read_bytes() == expected
+        assert any(read_mask(out / f"oms_{i:05d}.pgm").any() for i in range(n))
+
+    def test_timings_recorded(self, dataset, tmp_path):
+        manifest_path, _ = dataset
+        out = tmp_path / "run"
+        result = run_cli("run", "--manifest", manifest_path, "--out", out, "--emit-overlays")
+        assert result.exit_code == 0, result.output
+        timings = json.loads((out / "run.json").read_text())["timings_ms"]
+        assert set(timings) == {"load", "bin", "score", "write"}
+        assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+
+    def test_ground_truth_not_read(self, dataset, tmp_path):
+        # Without --emit-overlays, run needs the events but not the masks.
+        manifest_path, n = dataset
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        (ds / "events.evt").write_bytes((manifest_path.parent / "events.evt").read_bytes())
+        (ds / "manifest.json").write_text(manifest_path.read_text())
+        result = run_cli("run", "--manifest", ds / "manifest.json", "--out", tmp_path / "run")
+        assert result.exit_code == 0, result.output
+        assert len(list((tmp_path / "run").glob("oms_*.pgm"))) == n
+
+    @pytest.mark.parametrize("row, field", [("-5,1,1,1", "t"), ("5,70000,1,1", "x")])
+    def test_csv_overflow_exit_2(self, tmp_path, row, field):
+        (tmp_path / "events.csv").write_text(f"t,x,y,p\n{row}\n")
+        DatasetManifest(SensorGeometry(64, 48), "events.csv", "masks", (10,)).save(
+            tmp_path / "manifest.json")
+        result = run_cli("run", "--manifest", tmp_path / "manifest.json", "--out", tmp_path / "o")
+        assert result.exit_code == 2, result.output
+        assert f"{field}=" in result.output and "CSV line 2" in result.output
+
 
 class TestEval:
     def test_perfect_predictions(self, dataset, tmp_path):
@@ -138,6 +194,19 @@ class TestSynth:
         assert result.exit_code == 0, result.output
         assert (out / "manifest.json").exists()
         assert len(list((out / "masks").glob("*.pgm"))) == 4
+
+    def test_missing_key_exit_2(self, tmp_path):
+        scene = {
+            "geometry": {"width": 64, "height": 48}, "n_frames": 5, "bg_density": 0.05,
+            "camera_velocity": [1.0, 0.0],
+            "objects": [{"shape": "disk", "size": 6, "velocity": [1.0, 0.0],
+                         "position": [10.0, 24.0]}],
+        }
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        result = run_cli("synth", scene_path, "--out", tmp_path / "ds")
+        assert result.exit_code == 2, result.output
+        assert "'start'" in result.output
 
     def test_roundtrips_through_run(self, dataset, tmp_path):
         manifest_path, n = dataset

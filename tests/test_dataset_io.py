@@ -3,8 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oms import EVENT_DTYPE, Event, SensorGeometry, as_event_array
+from oms import EVENT_DTYPE, Event, OmsError, SensorGeometry, as_event_array
 from oms.dataset_io import (
     DatasetManifest,
     ParseError,
@@ -88,6 +90,28 @@ class TestEventFiles:
         assert [tuple(e) for e in ev] == [(1, 2, 3, 1), (5, 4, 0, -1)]
 
 
+    def test_lowest_polarity_byte_rejected(self, tmp_path):
+        header = b"EVT1" + struct.pack("<HH", 10, 10) + b"\x00" * 8
+        path = tmp_path / "p128.evt"
+        records = struct.pack("<QHHb", 1, 2, 3, 1) + struct.pack("<QHHb", 2, 2, 3, -128)
+        path.write_bytes(header + records)
+        with pytest.raises(ParseError, match="byte offset 29"):
+            read_events(path)
+
+    @pytest.mark.parametrize("row, field", [
+        ("-5,1,1,1", "t"),
+        (f"{2**64},1,1,1", "t"),
+        ("5,70000,1,1", "x"),
+        ("5,1,-1,1", "y"),
+        ("5,1,1,300", "polarity"),
+    ])
+    def test_csv_value_out_of_range(self, tmp_path, row, field):
+        path = tmp_path / "events.csv"
+        path.write_text(f"t,x,y,p\n1,2,3,1\n{row}\n")
+        with pytest.raises(ParseError, match=f"{field}.* line 3"):
+            read_events(path)
+
+
 class TestMaskFiles:
     def test_all_zero(self, tmp_path):
         path = tmp_path / "m.pgm"
@@ -136,6 +160,35 @@ class TestManifest:
     def test_nonincreasing_timestamps_rejected(self):
         with pytest.raises(Exception):
             DatasetManifest(GEOM, "e", "m", (10, 10), "native")
+
+    @pytest.mark.parametrize("change", [
+        {"geometry": [1, 2]},
+        {"geometry": {"width": "346", "height": 260}},
+        {"geometry": {"width": True, "height": 260}},
+        {"geometry": {"width": 64.0, "height": 48}},
+        {"geometry": {"width": 0, "height": 48}},
+        {"geometry": {"width": 70000, "height": 48}},
+        {"mask_timestamps": 5},
+        {"mask_timestamps": [1.5, "x"]},
+        {"mask_timestamps": [2**63]},
+        {"event_file": 5},
+        {"source": ["native"]},
+        {"mask_dir": None},
+    ], ids=lambda change: json.dumps(change))
+    def test_malformed_field(self, tmp_path, change):
+        doc = {"geometry": {"width": 64, "height": 48}, "event_file": "events.evt",
+               "mask_dir": "masks", "mask_timestamps": [10, 20], "source": "native"}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**doc, **change}))
+        with pytest.raises(ParseError):
+            DatasetManifest.load(path)
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[]", b"5", b"{", b'{"geometry": {}}'])
+    def test_malformed_document(self, tmp_path, data):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError):
+            DatasetManifest.load(path)
 
     def test_write_then_load_dataset(self, tmp_path, rng):
         ev = random_events(rng, 500)
@@ -217,3 +270,61 @@ class TestImporters:
         manifest = import_mod(src, tmp_path / "native")
         assert manifest.source == "mod"
         assert manifest.mask_timestamps == (100_000, 200_000)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=4),
+    max_leaves=10,
+)
+MANIFEST_DOCS = st.fixed_dictionaries(
+    {"geometry": st.fixed_dictionaries({"width": JSON_VALUES, "height": JSON_VALUES})
+     | JSON_VALUES},
+    optional={k: JSON_VALUES for k in ("event_file", "mask_dir", "mask_timestamps", "source")},
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+class TestFuzz:
+    """Arbitrary bytes never raise anything but OmsError from the readers."""
+
+    @staticmethod
+    def only_oms_errors(read, path, data):
+        path.write_bytes(data)
+        try:
+            read(path)
+        except OmsError:
+            pass
+
+    @given(data=st.binary(max_size=200)
+           | st.binary(max_size=120).map(lambda b: b"EVT1" + b)
+           | st.binary(max_size=60).map(lambda b: b"P5" + b)
+           | st.text("0123456789,-+ _\nte", max_size=80).map(lambda t: ("t,x,y,p\n" + t).encode())
+           | st.lists(st.lists(st.integers(-2**65, 2**65), min_size=4, max_size=4), max_size=3)
+             .map(lambda rows: "\n".join(["t,x,y,p"] + [",".join(map(str, r)) for r in rows])
+                  .encode()))
+    @settings(max_examples=300, deadline=None)
+    def test_read_events(self, fuzz_path, data):
+        self.only_oms_errors(read_events, fuzz_path, data)
+
+    @given(data=st.binary(max_size=200)
+           | st.binary(max_size=60).map(lambda b: b"P5" + b)
+           | st.tuples(st.integers(-3, 12), st.integers(-3, 12), st.integers(-1, 300),
+                       st.binary(max_size=100))
+             .map(lambda a: b"P5\n%d %d\n%d\n" % a[:3] + a[3]),
+           geometry=st.none() | st.just(SensorGeometry(4, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_read_mask(self, fuzz_path, data, geometry):
+        self.only_oms_errors(lambda p: read_mask(p, geometry), fuzz_path, data)
+
+    @given(data=st.binary(max_size=200)
+           | JSON_VALUES.map(lambda v: json.dumps(v).encode())
+           | MANIFEST_DOCS.map(lambda v: json.dumps(v).encode()))
+    @settings(max_examples=300, deadline=None)
+    def test_manifest_load(self, fuzz_path, data):
+        self.only_oms_errors(DatasetManifest.load, fuzz_path, data)

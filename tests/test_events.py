@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oms import (
@@ -12,6 +12,10 @@ from oms import (
     as_event_array,
     window_events,
 )
+from oms.events import bin_events
+from oms.synthetic import generate_scene
+
+from conftest import BR1_CONFIG, BR3_CONFIG
 
 
 def make_events(ts, xs=None, ys=None, ps=None):
@@ -113,3 +117,62 @@ class TestAccumulateFrame:
         assert np.array_equal(
             accumulate_frame(ev, self.GEOM), accumulate_frame(flipped, self.GEOM)
         )
+
+
+def windowed_stack(events, mask_timestamps, geometry):
+    """Oracle for bin_events: window_events, then accumulate_frame per window."""
+    frames = [accumulate_frame(w, geometry) for w in window_events(events, mask_timestamps)]
+    if not frames:
+        return np.zeros((0, geometry.height, geometry.width), np.uint8)
+    return np.stack(frames)
+
+
+class TestBinEvents:
+    GEOM = SensorGeometry(7, 5)
+
+    @pytest.mark.parametrize("config", [BR1_CONFIG, BR3_CONFIG], ids=["br1", "br3"])
+    def test_fixtures_match_windowed_frames(self, config):
+        events, _, timestamps = generate_scene(config)
+        stack = bin_events(events, timestamps, config.geometry)
+        assert stack.dtype == np.uint8
+        assert stack.shape == (len(timestamps), *config.geometry.shape)
+        assert np.array_equal(stack, windowed_stack(events, timestamps, config.geometry))
+
+    @given(
+        ts=st.lists(st.integers(0, 1000), max_size=200),
+        bounds=st.lists(st.integers(-100, 1100), max_size=12, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(ts=[0, 0, 5, 900], bounds=[0], seed=0)            # timestamp 0, events after it
+    @example(ts=[0, 3, 3, 8], bounds=[-7, -1, 3, 50], seed=1)   # negative timestamps
+    @example(ts=[10, 20], bounds=[1, 2, 3], seed=2)             # empty windows, all dropped
+    @example(ts=[], bounds=[5, 9], seed=3)                      # empty stream
+    @settings(max_examples=100, deadline=None)
+    def test_matches_windowed_frames(self, ts, bounds, seed):
+        rng = np.random.default_rng(seed)
+        n = len(ts)
+        ev = make_events(sorted(ts), xs=rng.integers(0, 7, n), ys=rng.integers(0, 5, n),
+                         ps=rng.choice([-1, 1], n))
+        bounds = sorted(bounds)
+        stack = bin_events(ev, bounds, self.GEOM)
+        assert stack.shape == (len(bounds), 5, 7) and stack.dtype == np.uint8
+        assert np.array_equal(stack, windowed_stack(ev, bounds, self.GEOM))
+
+    def test_out_of_bounds_after_last_timestamp_dropped(self):
+        ev = make_events([1, 2, 30], xs=[1, 2, 99], ys=[0, 4, 99])
+        assert np.array_equal(bin_events(ev, [10], self.GEOM),
+                              windowed_stack(ev, [10], self.GEOM))
+
+    @pytest.mark.parametrize("events, timestamps", [
+        (make_events([5, 3, 10]), [100]),                           # unsorted
+        (make_events([1, 2], ps=[1, 0]), [100]),                     # bad polarity
+        (make_events([1, 2], ps=[1, -128]), [100]),                  # abs(-128) wraps
+        (make_events([1, 2], xs=[0, 7]), [100]),                     # x out of bounds
+        (make_events([1, 2], ys=[5, 0]), [1, 100]),                  # y out of bounds
+        (make_events([1]), [10, 10]),                                # timestamps not increasing
+    ], ids=["unsorted", "polarity", "polarity_min", "x_bounds", "y_bounds", "timestamps"])
+    def test_bad_input_raises_like_windowing(self, events, timestamps):
+        with pytest.raises(ValidationError):
+            windowed_stack(events, timestamps, self.GEOM)
+        with pytest.raises(ValidationError):
+            bin_events(events, timestamps, self.GEOM)

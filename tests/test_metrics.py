@@ -158,6 +158,15 @@ class TestEvaluateSequence:
         with pytest.raises(ValidationError):
             evaluate_sequence([z], [z, z], [z, z])
 
+    @pytest.mark.parametrize("preds, gts, dvs", [
+        ([np.zeros((8, 8))], [np.zeros((8, 9))], [np.zeros((8, 8))]),
+        ([np.zeros((8, 8))] * 2, [np.zeros((8, 8)), np.zeros((9, 8))], [np.zeros((8, 8))] * 2),
+        ([np.zeros(8)], [np.zeros(8)], [np.zeros(8)]),
+    ], ids=["across", "within", "not_2d"])
+    def test_shape_mismatch(self, preds, gts, dvs):
+        with pytest.raises(ValidationError):
+            evaluate_sequence(preds, gts, dvs)
+
     def test_order_invariance(self, rng):
         preds = [(rng.random((16, 16)) < 0.3).astype(np.uint8) for _ in range(8)]
         gts = [(rng.random((16, 16)) < 0.3).astype(np.uint8) for _ in range(8)]
