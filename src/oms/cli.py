@@ -29,7 +29,7 @@ from .dataset_io import (
     write_dataset,
     write_mask,
 )
-from .engine import OmsParams, oms_sequence
+from .engine import OmsParams, oms_frame, oms_sequence
 from .errors import OmsError
 from .events import bin_events
 from .kernels import kernel_to_text, make_feathered_kernel
@@ -265,36 +265,34 @@ def cmd_synth(scene_config, out_dir):
 def cmd_bench(manifest_path, threads, **flags):
     """Measure per-frame latency percentiles and throughput."""
     params = resolve_params({}, **flags)
-    manifest, frames = build_frames(manifest_path)
+    timings: dict[str, float] = {}
+    manifest, frames = build_frames(manifest_path, timings)
     if len(frames) == 0:
         click.echo("no frames in dataset; nothing to benchmark")
         return
     n_threads = _resolve_threads(threads)
     kernels = params.make_kernels()
-    from .engine import oms_frame
 
     oms_frame(frames[0], params, *kernels)  # warm-up
-    latencies = []
-    t0 = time.perf_counter()
+    latencies: dict[int, float] = {}
     single = []
-    for frame in frames:
-        t = time.perf_counter()
-        single.append(oms_frame(frame, params, *kernels))
-        latencies.append(time.perf_counter() - t)
-    wall_single = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    multi = oms_sequence(frames, params, threads=n_threads)
-    wall_multi = time.perf_counter() - t0
+    with _timed(timings, "single"):
+        for k, frame in enumerate(frames):
+            with _timed(latencies, k):
+                single.append(oms_frame(frame, params, *kernels))
+    with _timed(timings, "threads"):
+        multi = oms_sequence(frames, params, threads=n_threads)
     identical = all(np.array_equal(a, b) for a, b in zip(single, multi))
-    lat_ms = np.array(latencies) * 1e3
+    lat_ms = np.array(list(latencies.values()))
     click.echo(json.dumps({
         "frames": len(frames),
         "p50_ms": float(np.percentile(lat_ms, 50)),
         "p95_ms": float(np.percentile(lat_ms, 95)),
-        "throughput_fps_single": len(frames) / wall_single,
-        "throughput_fps_threads": len(frames) / wall_multi,
+        "throughput_fps_single": len(frames) / (timings["single"] / 1e3),
+        "throughput_fps_threads": len(frames) / (timings["threads"] / 1e3),
         "threads": n_threads,
         "masks_identical_across_thread_counts": identical,
+        "timings_ms": {stage: round(timings[stage], 3) for stage in ("load", "bin")},
     }, indent=2))
 
 

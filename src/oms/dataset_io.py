@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .events import EVENT_DTYPE, SensorGeometry, validate_stream
+from .events import _T_MAX, EVENT_DTYPE, SensorGeometry, validate_stream
 
 MAGIC = b"EVT1"
 HEADER_SIZE = 16
@@ -92,34 +92,40 @@ def _parse_native(f, head: bytes, path: Path) -> np.ndarray:
     return events
 
 
-# Inclusive range of the t, x and y columns, so that no value overflows its
-# EVENT_DTYPE field; p is checked against {-1, +1}.
-_CSV_RANGES = tuple(
-    (name, int(np.iinfo(EVENT_DTYPE[name]).min), int(np.iinfo(EVENT_DTYPE[name]).max))
-    for name in ("t", "x", "y")
+# Inclusive range of the t, x and y columns: x and y fit their EVENT_DTYPE
+# fields, t the int64 time that streams are windowed on; p is checked
+# against {-1, +1}.
+_CSV_RANGES = (("t", 0, _T_MAX),) + tuple(
+    (name, 0, int(np.iinfo(EVENT_DTYPE[name]).max)) for name in ("x", "y")
 )
 
 
 def _parse_csv(text: str, path: Path) -> np.ndarray:
+    """Rows after the header, the first non-blank line; blank lines are
+    skipped and errors name the physical line."""
     rows = []
-    for lineno, line in enumerate(text.splitlines()):
+    lines = enumerate(text.splitlines(), start=1)
+    for _, line in lines:
+        if line.strip():
+            break
+    for lineno, line in lines:
         line = line.strip()
-        if not line or lineno == 0:
+        if not line:
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            raise ParseError(f"{path}: malformed CSV line {lineno + 1}")
+            raise ParseError(f"{path}: malformed CSV line {lineno}")
         try:
             row = tuple(int(v) for v in parts)
         except ValueError as exc:
-            raise ParseError(f"{path}: malformed CSV line {lineno + 1}: {exc}") from exc
+            raise ParseError(f"{path}: malformed CSV line {lineno}: {exc}") from exc
         for value, (name, lo, hi) in zip(row, _CSV_RANGES):
             if not lo <= value <= hi:
                 raise ParseError(
-                    f"{path}: {name}={value} out of range [{lo}, {hi}] on CSV line {lineno + 1}"
+                    f"{path}: {name}={value} out of range [{lo}, {hi}] on CSV line {lineno}"
                 )
         if row[3] not in (-1, 1):
-            raise ParseError(f"{path}: invalid polarity on CSV line {lineno + 1}")
+            raise ParseError(f"{path}: invalid polarity on CSV line {lineno}")
         rows.append(row)
     if not rows:
         return np.empty(0, dtype=EVENT_DTYPE)

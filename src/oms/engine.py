@@ -12,10 +12,13 @@ Two filtering modes are provided:
   so the score has the input resolution. Correlation is linear, so the two
   responses are never computed: the score is |corr(F, D)| for the single
   difference kernel D = surround - center (`kernels.difference_kernel`).
-  D's taps are grouped by exact value; per group the shifted slices of a
-  zero-padded uint8 copy of the frame are summed into an integer count, and
-  the score accumulates value * count in float64, one multiply-add per
-  distinct tap value (7 at the defaults, for 52 nonzero taps).
+  D's taps are grouped by exact value, once per kernel pair and frame width
+  (7 values for 52 nonzero taps at the defaults). The frame is padded once
+  into a flat uint8 buffer with rows of w + n - 1, where tap (dy, dx) is the
+  offset dy * (w + n - 1) + dx: per group the contiguous shifted slices are
+  summed into an integer count, which is cast to float64 once, scaled by its
+  value and added to the score in ascending value order. The padded columns
+  are cropped at the end.
 * strided: valid (no-padding) correlation with the surround at stride s_s
   and the center at stride s_c = s_s + r2 - r1. The two output grids have
   different sizes; they are truncated from the top-left to common
@@ -28,6 +31,7 @@ ValidationError, because the score bound and the uint8 counts rely on it.
 
 from __future__ import annotations
 
+import functools
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -148,29 +152,55 @@ def filter_frame(
     return np.einsum("ijkl,kl->ij", windows, kernel.weights)
 
 
+@functools.lru_cache(maxsize=16)
+def _tap_groups(r1: int, center: bytes, r2: int, surround: bytes, width: int):
+    """((value, count dtype, flat offsets), ...): the nonzero taps of D grouped
+    by exact value, ascending; tap (dy, dx) is at dy * (width + n - 1) + dx in
+    the flat padded frame. Cached per (kernels, frame width), so immutable."""
+    d = difference_kernel(
+        Kernel(r1, 0.0, np.frombuffer(center).reshape(2 * r1, 2 * r1)),
+        Kernel(r2, 0.0, np.frombuffer(surround).reshape(2 * r2, 2 * r2)),
+    )
+    ys, xs = np.nonzero(d)
+    values, group = np.unique(d[ys, xs], return_inverse=True)
+    offsets = ys * (width + d.shape[0] - 1) + xs
+    taps = [tuple(offsets[group == g].tolist()) for g in range(len(values))]
+    # each tap adds at most 1, so the count never exceeds the group size
+    return tuple((v, np.min_scalar_type(len(t)), t) for v, t in zip(values, taps))
+
+
 def _dense_scores(frame: np.ndarray, center: Kernel, surround: Kernel) -> np.ndarray:
     """|corr(F, D)| at stride 1 over the zero-padded frame (module docstring).
     Taps are grouped by exact value, so any kernels work, at worst one group
     per tap."""
-    d = difference_kernel(center, surround)
-    n = d.shape[0]
-    r = n // 2
     h, w = frame.shape
+    n = 2 * max(center.radius, surround.radius)
     if n > min(h, w):
         raise ValidationError(f"{n}x{n} kernel does not fit a {h}x{w} frame")
-    padded = np.zeros((h + n - 1, w + n - 1), np.uint8)
-    padded[r:r + h, r:r + w] = frame
-    ys, xs = np.nonzero(d)
-    values, group = np.unique(d[ys, xs], return_inverse=True)
-    acc = np.zeros((h, w))
-    for g, value in enumerate(values):
-        taps = np.flatnonzero(group == g)
-        # each tap adds at most 1, so the count never exceeds the group size
-        count = np.zeros((h, w), np.min_scalar_type(len(taps)))
-        for t in taps:
-            count += padded[ys[t]:ys[t] + h, xs[t]:xs[t] + w]
-        acc += value * count
-    return np.abs(acc)
+    groups = _tap_groups(
+        center.radius, np.asarray(center.weights, np.float64).tobytes(),
+        surround.radius, np.asarray(surround.weights, np.float64).tobytes(), w,
+    )
+    r, pw = n // 2, w + n - 1
+    # One spare row: taps of the cropped columns x >= w read past the last row.
+    padded = np.zeros((h + n) * pw, np.uint8)
+    padded.reshape(h + n, pw)[r:r + h, r:r + w] = frame
+    size = h * pw
+    acc, scaled = None, np.empty(size)
+    for value, dtype, taps in groups:
+        count = padded[taps[0]:taps[0] + size].astype(dtype)
+        for o in taps[1:]:
+            count += padded[o:o + size]
+        if acc is None:  # 0 + x is x up to the sign of a zero, which abs drops
+            acc = count.astype(np.float64)
+            acc *= value
+        else:
+            scaled[:] = count
+            scaled *= value
+            acc += scaled
+    if acc is None:  # D == 0: the kernels cancel
+        return np.zeros((h, w))
+    return np.abs(acc.reshape(h, pw)[:, :w], out=scaled[:h * w].reshape(h, w))
 
 
 def oms_scores(

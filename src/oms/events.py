@@ -25,6 +25,8 @@ from .errors import ValidationError
 # 13 bytes packed, little-endian: matches the on-disk record layout exactly.
 EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
 assert EVENT_DTYPE.itemsize == 13
+# Largest timestamp a stream may hold: windows are cut on int64 time.
+_T_MAX = int(np.iinfo(np.int64).max)
 
 
 class SensorGeometry(NamedTuple):
@@ -75,18 +77,22 @@ def validate_stream(events: np.ndarray, geometry: SensorGeometry | None = None) 
 
 
 def _check_order_and_polarity(events: np.ndarray) -> np.ndarray:
-    """The stream's timestamps as int64, after checking they never decrease
-    and that every polarity is -1 or +1."""
-    t = events["t"].astype(np.int64)
+    """The stream's timestamps as int64, after checking they never decrease,
+    fit int64 and that every polarity is -1 or +1."""
+    # Compared as stored (u64), so a t >= 2**63 cannot wrap negative.
+    t = np.ascontiguousarray(events["t"])
     unsorted = t[1:] < t[:-1]
     if unsorted.any():
         raise ValidationError(
             f"event stream unsorted: t decreases at index {int(np.argmax(unsorted)) + 1}"
         )
+    if t.size and int(t[-1]) > _T_MAX:
+        i = int(np.searchsorted(t, np.uint64(_T_MAX), side="right"))
+        raise ValidationError(f"timestamp {int(t[i])} at event index {i} exceeds {_T_MAX}")
     bad_p = np.abs(events["p"]) != 1  # abs(-128) wraps to -128 in int8: still bad
     if bad_p.any():
         raise ValidationError(f"invalid polarity at event index {int(np.argmax(bad_p))}")
-    return t
+    return t.view(np.int64)  # every t is at most _T_MAX, so no value changes
 
 
 def _check_bounds(events: np.ndarray, geometry: SensorGeometry) -> None:

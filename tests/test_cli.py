@@ -223,6 +223,16 @@ class TestBench:
         assert doc["masks_identical_across_thread_counts"] is True
         assert doc["p50_ms"] > 0 and doc["p95_ms"] >= doc["p50_ms"]
 
+    def test_stage_timings(self, dataset):
+        manifest_path, _ = dataset
+        result = run_cli("bench", "--manifest", manifest_path, "--threads", 1)
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert {"frames", "p50_ms", "p95_ms", "throughput_fps_single", "throughput_fps_threads",
+                "threads", "masks_identical_across_thread_counts"} < set(doc)
+        assert set(doc["timings_ms"]) == {"load", "bin"}
+        assert all(v >= 0 for v in doc["timings_ms"].values())
+
     def test_empty_dataset(self, tmp_path, rng):
         from oms.events import EVENT_DTYPE
 

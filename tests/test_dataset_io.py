@@ -111,6 +111,28 @@ class TestEventFiles:
         with pytest.raises(ParseError, match=f"{field}.* line 3"):
             read_events(path)
 
+    def test_csv_blank_lines_before_header(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("\nt,x,y,p\n1,2,3,1\n")
+        assert [tuple(e) for e in read_events(path)] == [(1, 2, 3, 1)]
+        path.write_text("\n \nt,x,y,p\n\n1,2,3,1\n1,2\n")
+        with pytest.raises(ParseError, match="line 6"):  # physical line numbers
+            read_events(path)
+
+    @pytest.mark.parametrize("text", ["t,x,y,p\n", "\nt,x,y,p"])
+    def test_csv_header_only(self, tmp_path, text):
+        path = tmp_path / "events.csv"
+        path.write_text(text)
+        assert len(read_events(path)) == 0
+
+    def test_csv_timestamp_beyond_int64(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(f"t,x,y,p\n1,2,3,1\n{2**63 - 1},2,3,1\n")
+        assert read_events(path)["t"][-1] == 2**63 - 1
+        path.write_text(f"t,x,y,p\n1,2,3,1\n{2**63},2,3,1\n")
+        with pytest.raises(ParseError, match="t=.* line 3"):
+            read_events(path)
+
 
 class TestMaskFiles:
     def test_all_zero(self, tmp_path):

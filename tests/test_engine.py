@@ -1,4 +1,6 @@
 import logging
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +170,90 @@ class TestDenseScores:
             for alpha in (0.05, 0.13, 0.3)
         )
         assert margin > 1e-9
+
+
+def reference_scores(frame, center, surround):
+    """Dense |center - surround| from the four-loop oracle."""
+    return np.abs(reference_filter(frame, center.weights, center.radius, 1, "dense")
+                  - reference_filter(frame, surround.weights, surround.radius, 1, "dense"))
+
+
+class TestTapGroupCache:
+    """The dense scorer caches D's tap groups per (kernels, frame width); no
+    call may read groups built for another width or other weights."""
+
+    def test_alternating_widths(self, rng):
+        params = OmsParams()
+        center, surround = params.make_kernels()
+        for _ in range(3):
+            for w in (20, 31):
+                frame = (rng.random((12, w)) < 0.4).astype(np.uint8)
+                want = reference_scores(frame, center, surround)
+                assert np.max(np.abs(oms_scores(frame, params) - want)) < 1e-12
+
+    def test_same_radii_other_weights(self, rng):
+        pairs = [OmsParams().make_kernels(), OmsParams(sigma_c=0.7, sigma_s=3.1).make_kernels()]
+        frame = (rng.random((14, 23)) < 0.4).astype(np.uint8)
+        for _ in range(3):
+            for center, surround in pairs:
+                want = reference_scores(frame, center, surround)
+                got = oms_scores(frame, OmsParams(), center, surround)
+                assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_height_equal_to_kernel(self, rng):
+        params = OmsParams()
+        center, surround = params.make_kernels()
+        frame = (rng.random((8, 31)) < 0.4).astype(np.uint8)
+        want = reference_scores(frame, center, surround)
+        assert np.max(np.abs(oms_scores(frame, params) - want)) < 1e-12
+
+    def test_cancelling_kernels_score_zero(self):
+        center = make_feathered_kernel(3, 1.5)
+        frame = np.ones((9, 10), np.uint8)
+        scores = oms_scores(frame, OmsParams(), center, center)
+        assert scores.shape == (9, 10) and not scores.any()
+
+    def test_threaded_mixed_calls(self, rng):
+        cases = []
+        for params, w in [(OmsParams(alpha=0.13), 31), (OmsParams(alpha=0.13, sigma_c=0.7), 31),
+                          (OmsParams(r1=1, r2=3, alpha=0.13), 20), (OmsParams(alpha=0.13), 23)]:
+            center, surround = params.make_kernels()
+            frames = [(rng.random((17, w)) < 0.4).astype(np.uint8) for _ in range(3)]
+            cases.append((params, frames, [reference_scores(f, center, surround) for f in frames]))
+
+        def score(case):
+            params, frames, _ = case
+            return [oms_scores(f, params) for f in frames], oms_sequence(frames, params, threads=2)
+
+        engine._tap_groups.cache_clear()  # so that the first misses race
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(score, case) for case in cases * 4]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (params, _, want), (scores, masks) in zip(cases * 4, results):
+            for got, mask, ref in zip(scores, masks, want):
+                assert np.max(np.abs(got - ref)) < 1e-12
+                assert np.array_equal(mask, ref > params.alpha)
+
+    def test_difference_kernel_not_rebuilt_per_frame(self, monkeypatch, rng):
+        calls = []
+
+        def counting(center, surround):
+            calls.append(1)
+            return difference_kernel(center, surround)
+
+        monkeypatch.setattr(engine, "difference_kernel", counting)
+        frames = [(rng.random((24, 40)) < 0.3).astype(np.uint8) for _ in range(40)]
+        params = OmsParams(alpha=0.13)
+        oms_sequence(frames[:5], params)
+        few = len(calls)
+        calls.clear()
+        oms_sequence(frames, params)
+        assert len(calls) <= few
 
 
 class TestBinaryFrameContract:

@@ -176,3 +176,12 @@ class TestBinEvents:
             windowed_stack(events, timestamps, self.GEOM)
         with pytest.raises(ValidationError):
             bin_events(events, timestamps, self.GEOM)
+
+    def test_timestamp_beyond_int64(self):
+        # Sorted as u64; an int64 cast would wrap 2**63 negative and call it unsorted.
+        ev = make_events([1, 2**63, 2**64 - 1])
+        for cut in (lambda: bin_events(ev, [100], self.GEOM), lambda: window_events(ev, [100])):
+            with pytest.raises(ValidationError, match="index 1 exceeds"):
+                cut()
+        ev = make_events([1, 2**63 - 1])
+        assert bin_events(ev, [10, 2**63 - 1], self.GEOM).sum() == 2
