@@ -8,13 +8,12 @@ masks with mIoU and detection rate.
 from .engine import (
     OmsParams,
     apply_mask,
-    center_stride,
     filter_frame,
     oms_frame,
     oms_scores,
     oms_sequence,
 )
-from .errors import ConfigError, OmsError, ParameterError, ParseError, ValidationError
+from .errors import OmsError, ParameterError, ParseError, ValidationError
 from .events import (
     EVENT_DTYPE,
     Event,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EVENT_DTYPE",
-    "ConfigError",
     "Event",
     "EventWindow",
     "FrameScore",
@@ -58,7 +56,6 @@ __all__ = [
     "apply_mask",
     "as_event_array",
     "bf_ratio",
-    "center_stride",
     "detection",
     "evaluate_sequence",
     "filter_frame",

@@ -29,8 +29,8 @@ from .dataset_io import (
     write_dataset,
     write_mask,
 )
-from .engine import OmsParams, oms_frame, oms_sequence
-from .errors import OmsError
+from .engine import OmsParams, _kernels_for, oms_frame, oms_sequence
+from .errors import OmsError, ParameterError, ParseError
 from .events import bin_events
 from .kernels import kernel_to_text, make_feathered_kernel
 from .metrics import evaluate_sequence
@@ -76,7 +76,7 @@ def main():
 _PARAM_OPTIONS = [
     click.option("--r1", type=int, default=None, help="Center kernel radius."),
     click.option("--r2", type=int, default=None, help="Surround kernel radius."),
-    click.option("--stride", type=int, default=None, help="Surround stride (strided mode)."),
+    click.option("--stride", type=int, default=None, help="Lattice step of strided mode."),
     click.option("--alpha", type=float, default=None, help="Spike threshold in [0, 1]."),
     click.option("--mode", type=click.Choice(["dense", "strided"]), default=None),
     click.option("--sigma-c", type=float, default=None, help="Center Gaussian sigma."),
@@ -90,16 +90,28 @@ def param_options(f):
     return f
 
 
+# Accepted JSON types of each pipeline parameter; bool is never a number.
+_PARAM_TYPES = {"r1": (int,), "r2": (int,), "stride": (int,), "alpha": (int, float),
+                "mode": (str,), "sigma_c": (int, float), "sigma_s": (int, float)}
+
+
 def resolve_params(config_doc: dict, **flags) -> OmsParams:
-    """Flags override config-file values override built-in defaults."""
+    """Flags override config-file values override built-in defaults. A config
+    document that is not an object raises ParseError, a value of the wrong
+    type ParameterError."""
+    if not isinstance(config_doc, dict):
+        raise ParseError(f"run config must be a JSON object, got {type(config_doc).__name__}")
     merged = {}
-    keymap = {"stride": "s_s"}
-    for key in ("r1", "r2", "stride", "alpha", "mode", "sigma_c", "sigma_s"):
+    for key, types in _PARAM_TYPES.items():
         value = flags.get(key)
         if value is None:
             value = config_doc.get(key)
-        if value is not None:
-            merged[keymap.get(key, key)] = value
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ParameterError(f"{key} must be {' or '.join(t.__name__ for t in types)}, "
+                                 f"got {value!r}")
+        merged["s_s" if key == "stride" else key] = value
     return OmsParams(**merged)
 
 
@@ -109,9 +121,9 @@ def _resolve_threads(threads) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    n = int(threads)
+    n = int(threads) if str(threads).isdecimal() else 0
     if n < 1:
-        raise click.BadParameter("threads must be >= 1 or 'auto'")
+        raise click.BadParameter(f"threads must be an integer >= 1 or 'auto', got {threads!r}")
     return n
 
 
@@ -271,7 +283,7 @@ def cmd_bench(manifest_path, threads, **flags):
         click.echo("no frames in dataset; nothing to benchmark")
         return
     n_threads = _resolve_threads(threads)
-    kernels = params.make_kernels()
+    kernels = _kernels_for(frames.shape[1:], params)
 
     oms_frame(frames[0], params, *kernels)  # warm-up
     latencies: dict[int, float] = {}

@@ -17,6 +17,7 @@ mask_dir, mask_timestamps (integers, microseconds), source.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -312,23 +313,56 @@ def load_dataset(manifest_path):
 # --- external dataset importers ---------------------------------------------
 
 
-def _load_importer_masks(mask_dir: Path, geometry: SensorGeometry) -> list[np.ndarray]:
-    files = sorted(mask_dir.glob("*.pgm"))
-    if not files:
-        raise ParseError(f"no .pgm masks found in {mask_dir}")
-    return [read_mask(f, geometry) for f in files]
+# source tag: (event file, timestamp file, event loader, timestamp loader,
+#              accepted polarity encodings as (off, on) pairs)
+_LAYOUTS = {
+    "evimo": ("events.txt", "timestamps.txt", functools.partial(np.loadtxt, ndmin=2),
+              functools.partial(np.loadtxt, ndmin=1), ((0, 1),)),
+    "mod": ("events.npy", "timestamps.npy", np.load, np.load, ((0, 1), (-1, 1))),
+}
 
 
-def _finish_import(out_dir, t_us, x, y, p, geometry, masks, timestamps, source):
+def _import(source: str, src_dir, out_dir) -> DatasetManifest:
+    """Convert one external layout to the native one. Event rows are t [s],
+    x, y, p; x and y must be integers inside the sensor before the u16 cast."""
+    event_file, timestamp_file, load_events, load_timestamps, polarities = _LAYOUTS[source]
+    src = Path(src_dir)
+    missing = [n for n in (event_file, timestamp_file, "masks") if not (src / n).exists()]
+    if missing:
+        raise ParseError(f"{src}: missing required entries: {', '.join(missing)}")
+    geometry = _read_meta_geometry(src, default=SensorGeometry(346, 260))
+    path = src / event_file
+    raw = load_events(path)
+    if raw.size == 0:
+        raw = raw.reshape(0, 4)
+    if raw.ndim != 2 or raw.shape[1] != 4:
+        raise ParseError(f"{path}: expected shape (N, 4), got {raw.shape}")
+    t, x, y, p = raw.T
+    for name, col, size in (("x", x, geometry.width), ("y", y, geometry.height)):
+        bad = ~((col >= 0) & (col < size) & (col == np.floor(col)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParseError(f"{path}: event {i}: {name}={col[i]!r} is not an integer "
+                             f"in [0, {size})")
+    on = next((on for off, on in polarities if np.isin(p, (off, on)).all()), None)
+    if on is None:
+        codes = " or ".join(f"{off}/{on}" for off, on in polarities)
+        raise ParseError(f"{path}: polarity column must be {codes}")
+    mask_files = sorted((src / "masks").glob("*.pgm"))
+    if not mask_files:
+        raise ParseError(f"no .pgm masks found in {src / 'masks'}")
+    masks = [read_mask(f, geometry) for f in mask_files]
+    ts = load_timestamps(src / timestamp_file)
+    ts = [int(v) for v in np.round(np.asarray(ts) * 1e6).astype(np.int64)]
+    if len(ts) != len(masks):
+        raise ParseError(f"{len(masks)} masks but {len(ts)} timestamps")
+    t_us = np.round(t * 1e6).astype(np.int64)
     order = np.argsort(t_us, kind="stable")
     events = np.empty(len(t_us), dtype=EVENT_DTYPE)
     events["t"] = t_us[order]
     events["x"] = x[order]
     events["y"] = y[order]
-    events["p"] = p[order]
-    ts = [int(t) for t in timestamps]
-    if len(ts) != len(masks):
-        raise ParseError(f"{len(masks)} masks but {len(ts)} timestamps")
+    events["p"] = np.where(p[order] == on, 1, -1)
     manifest_path = write_dataset(out_dir, events, geometry, masks, ts, source=source)
     return DatasetManifest.load(manifest_path)
 
@@ -343,33 +377,7 @@ def import_evimo(src_dir, out_dir) -> DatasetManifest:
       masks/*.pgm     one mask per timestamp, sorted by filename
       meta.json       optional {"width": W, "height": H}; default 346x260
     """
-    src = Path(src_dir)
-    missing = [n for n in ("events.txt", "timestamps.txt", "masks") if not (src / n).exists()]
-    if missing:
-        raise ParseError(f"{src}: missing required entries: {', '.join(missing)}")
-    geometry = _read_meta_geometry(src, default=SensorGeometry(346, 260))
-    raw = np.loadtxt(src / "events.txt", ndmin=2)
-    if raw.size == 0:
-        raw = raw.reshape(0, 4)
-    if raw.shape[1] != 4:
-        raise ParseError(f"{src}/events.txt: expected 4 columns, got {raw.shape[1]}")
-    t_us = np.round(raw[:, 0] * 1e6).astype(np.int64)
-    p01 = raw[:, 3].astype(np.int64)
-    if not np.isin(p01, (0, 1)).all():
-        raise ParseError(f"{src}/events.txt: polarity column must be 0/1")
-    ts_s = np.loadtxt(src / "timestamps.txt", ndmin=1)
-    masks = _load_importer_masks(src / "masks", geometry)
-    return _finish_import(
-        out_dir,
-        t_us,
-        raw[:, 1].astype(np.int64),
-        raw[:, 2].astype(np.int64),
-        np.where(p01 == 1, 1, -1).astype(np.int8),
-        geometry,
-        masks,
-        np.round(ts_s * 1e6).astype(np.int64),
-        source="evimo",
-    )
+    return _import("evimo", src_dir, out_dir)
 
 
 def import_mod(src_dir, out_dir) -> DatasetManifest:
@@ -382,32 +390,7 @@ def import_mod(src_dir, out_dir) -> DatasetManifest:
       masks/*.pgm     one mask per timestamp, sorted by filename
       meta.json       optional {"width": W, "height": H}; default 346x260
     """
-    src = Path(src_dir)
-    missing = [n for n in ("events.npy", "timestamps.npy", "masks") if not (src / n).exists()]
-    if missing:
-        raise ParseError(f"{src}: missing required entries: {', '.join(missing)}")
-    geometry = _read_meta_geometry(src, default=SensorGeometry(346, 260))
-    raw = np.load(src / "events.npy")
-    if raw.ndim != 2 or raw.shape[1] != 4:
-        raise ParseError(f"{src}/events.npy: expected shape (N, 4), got {raw.shape}")
-    p = raw[:, 3].astype(np.int64)
-    if np.isin(p, (0, 1)).all():
-        p = np.where(p == 1, 1, -1)
-    if not np.isin(p, (-1, 1)).all():
-        raise ParseError(f"{src}/events.npy: polarity column must be -1/+1 or 0/1")
-    ts_s = np.load(src / "timestamps.npy")
-    masks = _load_importer_masks(src / "masks", geometry)
-    return _finish_import(
-        out_dir,
-        np.round(raw[:, 0] * 1e6).astype(np.int64),
-        raw[:, 1].astype(np.int64),
-        raw[:, 2].astype(np.int64),
-        p.astype(np.int8),
-        geometry,
-        masks,
-        np.round(np.asarray(ts_s) * 1e6).astype(np.int64),
-        source="mod",
-    )
+    return _import("mod", src_dir, out_dir)
 
 
 def _read_meta_geometry(src: Path, default: SensorGeometry) -> SensorGeometry:

@@ -19,11 +19,13 @@ Two filtering modes are provided:
   summed into an integer count, which is cast to float64 once, scaled by its
   value and added to the score in ascending value order. The padded columns
   are cropped at the end.
-* strided: valid (no-padding) correlation with the surround at stride s_s
-  and the center at stride s_c = s_s + r2 - r1. The two output grids have
-  different sizes; they are truncated from the top-left to common
-  dimensions, subtracted elementwise, thresholded, and the coarse result is
-  mapped back to input resolution by nearest-neighbor upsampling.
+* strided: the dense score's valid region (positions R .. H - R, R the
+  larger radius, where both windows lie inside the frame) sampled every s_s
+  positions, so cell (i, j) is dense position (R + s_s*i, R + s_s*j). Each
+  valid-region pixel takes its nearest cell's spike, (y - R + s_s//2) // s_s
+  clipped to the grid; pixels outside are 0. The paper's center stride
+  s_c = s_s + r2 - r1 is not used: grids at two strides sample different
+  input positions, so the spikes would land away from their stimulus.
 
 Frames must be binary (bool, or values in {0, 1}); anything else raises
 ValidationError, because the score bound and the uint8 counts rely on it.
@@ -40,17 +42,12 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ParameterError, ValidationError
+from .errors import ParameterError, ValidationError
 from .kernels import Kernel, difference_kernel, make_feathered_kernel
 
 log = logging.getLogger("oms")
 
 MODES = ("dense", "strided")
-
-
-def center_stride(s_s: int, r1: int, r2: int) -> int:
-    """Stride of the center kernel derived from the surround stride: s_s + r2 - r1."""
-    return s_s + r2 - r1
 
 
 @dataclass(frozen=True)
@@ -86,10 +83,6 @@ class OmsParams:
     def surround_sigma(self) -> float:
         return self.sigma_s if self.sigma_s is not None else self.r2 / 2.0
 
-    @property
-    def s_c(self) -> int:
-        return center_stride(self.s_s, self.r1, self.r2)
-
     def make_kernels(self) -> tuple[Kernel, Kernel]:
         return (
             make_feathered_kernel(self.r1, self.center_sigma),
@@ -102,6 +95,23 @@ def _check_frame(frame: np.ndarray) -> np.ndarray:
     if frame.ndim != 2:
         raise ValidationError(f"frame must be 2D, got shape {frame.shape}")
     return frame
+
+
+def _check_fits(n: int, shape: tuple[int, ...]) -> None:
+    if n > min(shape):
+        raise ValidationError(f"{n}x{n} kernel does not fit a {shape[0]}x{shape[1]} frame")
+
+
+def _kernels_for(
+    shape: tuple[int, ...], params: OmsParams,
+    center: Kernel | None = None, surround: Kernel | None = None,
+) -> tuple[Kernel, Kernel]:
+    """The given kernels, or the params' kernels once the frame is known to
+    hold the larger window (so an oversized radius allocates nothing)."""
+    if center is None or surround is None:
+        _check_fits(2 * max(params.r1, params.r2), shape)
+        center, surround = params.make_kernels()
+    return center, surround
 
 
 def _check_binary_frame(frame: np.ndarray) -> np.ndarray:
@@ -136,9 +146,7 @@ def filter_frame(
     frame = _check_frame(frame)
     r = kernel.radius
     n = kernel.size
-    h, w = frame.shape
-    if n > min(h, w):
-        raise ValidationError(f"{n}x{n} kernel does not fit a {h}x{w} frame")
+    _check_fits(n, frame.shape)
     if mode not in MODES:
         raise ParameterError(f"unknown filter mode {mode!r}")
     data = frame.astype(np.float64)
@@ -175,8 +183,7 @@ def _dense_scores(frame: np.ndarray, center: Kernel, surround: Kernel) -> np.nda
     per tap."""
     h, w = frame.shape
     n = 2 * max(center.radius, surround.radius)
-    if n > min(h, w):
-        raise ValidationError(f"{n}x{n} kernel does not fit a {h}x{w} frame")
+    _check_fits(n, frame.shape)
     groups = _tap_groups(
         center.radius, np.asarray(center.weights, np.float64).tobytes(),
         surround.radius, np.asarray(surround.weights, np.float64).tobytes(), w,
@@ -213,30 +220,17 @@ def oms_scores(
 
     The frame must be binary (bool, or values in {0, 1}); other values raise
     ValidationError. Dense mode returns a full-resolution map; strided mode
-    returns the coarse (pre-upsampling) grid.
+    returns the dense score's valid region sampled every s_s positions
+    (module docstring).
     """
     frame = _check_binary_frame(frame)
-    if center is None or surround is None:
-        center, surround = params.make_kernels()
+    center, surround = _kernels_for(frame.shape, params, center, surround)
+    scores = _dense_scores(frame, center, surround)
     if params.mode == "dense":
-        return _dense_scores(frame, center, surround)
-    fc = filter_frame(frame, center, params.s_c, "strided")
-    fs = filter_frame(frame, surround, params.s_s, "strided")
-    h = min(fc.shape[0], fs.shape[0])
-    w = min(fc.shape[1], fs.shape[1])
-    if h == 0 or w == 0:
-        raise ConfigError("strided responses share no valid positions on this frame size")
-    return np.abs(fc[:h, :w] - fs[:h, :w])
-
-
-def _upsample_nearest(coarse: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbor map of a coarse grid onto a full-resolution shape:
-    full pixel (y, x) reads coarse cell (floor(y*h'/H), floor(x*w'/W))."""
-    h_full, w_full = shape
-    hc, wc = coarse.shape
-    rows = (np.arange(h_full) * hc) // h_full
-    cols = (np.arange(w_full) * wc) // w_full
-    return coarse[np.ix_(rows, cols)]
+        return scores
+    h, w = frame.shape
+    r, s = max(center.radius, surround.radius), params.s_s
+    return scores[r:h - r + 1:s, r:w - r + 1:s]
 
 
 def oms_frame(
@@ -247,12 +241,20 @@ def oms_frame(
 ) -> np.ndarray:
     """Threshold the center-surround score into a {0,1} motion mask with the
     input frame's shape. Spikes use strict inequality: score > alpha. The
-    frame must be binary, as for oms_scores."""
-    scores = oms_scores(frame, params, center, surround)
-    mask = (scores > params.alpha).astype(np.uint8)
-    if params.mode == "strided":
-        mask = _upsample_nearest(mask, np.shape(frame))
-    return mask
+    frame must be binary, as for oms_scores. In strided mode each pixel of
+    the valid region takes its nearest lattice cell and the rest is 0."""
+    frame = _check_frame(frame)
+    center, surround = _kernels_for(frame.shape, params, center, surround)
+    mask = (oms_scores(frame, params, center, surround) > params.alpha).astype(np.uint8)
+    if params.mode == "dense":
+        return mask
+    h, w = frame.shape
+    r, s = max(center.radius, surround.radius), params.s_s
+    rows = np.minimum((np.arange(h - 2 * r + 1) + s // 2) // s, mask.shape[0] - 1)
+    cols = np.minimum((np.arange(w - 2 * r + 1) + s // 2) // s, mask.shape[1] - 1)
+    full = np.zeros((h, w), np.uint8)
+    full[r:h - r + 1, r:w - r + 1] = mask[np.ix_(rows, cols)]
+    return full
 
 
 def oms_sequence(
@@ -262,9 +264,9 @@ def oms_sequence(
 
     All frames must share one shape. Per-frame work is pure, so threaded
     execution is bitwise identical to sequential; output order always
-    matches input order. Workers are capped at the frame count. In dense
-    mode a WARNING is logged when alpha is at least sum(max(D, 0)), the
-    largest score any binary frame can reach, so no pixel can spike.
+    matches input order. Workers are capped at the frame count. A WARNING
+    is logged when alpha is at least sum(max(D, 0)), the largest score any
+    binary frame can reach in either mode, so no pixel can spike.
     """
     frames = [_check_frame(f) for f in frames]
     if not frames:
@@ -273,13 +275,12 @@ def oms_sequence(
     for i, f in enumerate(frames):
         if f.shape != shape:
             raise ValidationError(f"frame {i} has shape {f.shape}, expected {shape}")
-    center, surround = params.make_kernels()
-    if params.mode == "dense":
-        d = difference_kernel(center, surround)
-        bound = float(d[d > 0].sum())
-        if params.alpha >= bound:
-            log.warning("alpha %g >= %.6g, the largest dense score a binary frame can reach: "
-                        "no pixel can spike", params.alpha, bound)
+    center, surround = _kernels_for(shape, params)
+    d = difference_kernel(center, surround)
+    bound = float(d[d > 0].sum())
+    if params.alpha >= bound:
+        log.warning("alpha %g >= %.6g, the largest score a binary frame can reach: "
+                    "no pixel can spike", params.alpha, bound)
     threads = min(threads, len(frames))
     if threads <= 1:
         return [oms_frame(f, params, center, surround) for f in frames]

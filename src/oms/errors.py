@@ -16,6 +16,3 @@ class ParameterError(OmsError):
 class ParseError(OmsError):
     """A file could not be decoded; the message carries a byte offset when known."""
 
-
-class ConfigError(OmsError):
-    """A parameter combination is internally consistent but unusable on this input."""

@@ -128,6 +128,29 @@ class TestRun:
         assert result.exit_code == 0, result.output
         assert len(list((tmp_path / "run").glob("oms_*.pgm"))) == n
 
+    @pytest.mark.parametrize("config, flags", [
+        ({"r1": "2"}, []),
+        ({"r1": 2.0}, []),
+        ({"alpha": "0.5"}, []),
+        ({"alpha": True}, []),
+        ({"mode": 3}, []),
+        ([1, 2], []),
+        ("dense", []),
+        ({"threads": "x"}, []),
+        ({"threads": 2.5}, []),
+        ({"threads": True}, []),
+        ({}, ["--threads", "abc"]),
+        ({}, ["--threads", "0"]),
+    ])
+    def test_bad_config_or_threads_exit_2(self, dataset, tmp_path, config, flags):
+        manifest_path, _ = dataset
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = run_cli("run", "--manifest", manifest_path, "--out", tmp_path / "run",
+                         "--config", cfg, *flags)
+        assert result.exit_code == 2, result.output
+        assert "internal error" not in result.output
+
     @pytest.mark.parametrize("row, field", [("-5,1,1,1", "t"), ("5,70000,1,1", "x")])
     def test_csv_overflow_exit_2(self, tmp_path, row, field):
         (tmp_path / "events.csv").write_text(f"t,x,y,p\n{row}\n")

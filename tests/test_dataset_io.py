@@ -274,6 +274,30 @@ class TestImporters:
                 tmp_path / "b" / "masks" / mask_filename(i)
             ).read_bytes()
 
+    @pytest.mark.parametrize("value", ["65546", "-65530", "1.9", "32", "nan"])
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_import_evimo_rejects_bad_coordinate(self, tmp_path, rng, field, value):
+        # Each value would reach the u16 field as a valid-looking coordinate
+        # (65546 -> 10, -65530 -> 6, 1.9 -> 1) if it were cast unchecked.
+        src = tmp_path / "evimo"
+        build_evimo_fixture(src, rng)
+        lines = (src / "events.txt").read_text().splitlines()
+        t, x, y, p = lines[7].split()
+        lines[7] = " ".join((t, value, y, p) if field == "x" else (t, x, value, p))
+        (src / "events.txt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"event 7: {field}="):
+            import_evimo(src, tmp_path / "native")
+        assert not (tmp_path / "native").exists()
+
+    def test_import_mod_rejects_bad_coordinate(self, tmp_path):
+        src = tmp_path / "mod"
+        src.mkdir()
+        np.save(src / "events.npy", np.array([[0.1, 3.0, 2.0, 1.0], [0.2, 346.5, 2.0, -1.0]]))
+        np.save(src / "timestamps.npy", np.array([0.1]))
+        (src / "masks").mkdir()
+        with pytest.raises(ParseError, match="event 1: x="):
+            import_mod(src, tmp_path / "native")
+
     def test_import_mod_fixture(self, tmp_path, rng):
         src = tmp_path / "mod"
         src.mkdir()

@@ -8,13 +8,11 @@ import pytest
 
 from oms import engine
 from oms import (
-    ConfigError,
     Kernel,
     OmsParams,
     ParameterError,
     ValidationError,
     apply_mask,
-    center_stride,
     filter_frame,
     make_feathered_kernel,
     oms_frame,
@@ -61,16 +59,25 @@ def reference_filter(frame, weights, radius, stride, mode):
     return np.array(out)
 
 
-class TestCenterStride:
-    def test_paper_defaults(self):
-        assert center_stride(1, 2, 4) == 3
-
-    def test_direct_substitution(self):
-        assert center_stride(2, 3, 5) == 4
-
+class TestOmsParams:
     def test_equal_radii_rejected_upstream(self):
         with pytest.raises(ParameterError):
             OmsParams(r1=3, r2=3)
+
+    def test_radius_checked_against_frame_before_kernels(self, monkeypatch):
+        # r2 = 10**9 would ask for a 2e9 x 2e9 surround grid.
+        def refuse(radius, sigma):
+            raise AssertionError(f"kernel of radius {radius} built")
+
+        monkeypatch.setattr(engine, "make_feathered_kernel", refuse)
+        frame = np.zeros((32, 32), np.uint8)
+        for mode in ("dense", "strided"):
+            params = OmsParams(r2=10**9, mode=mode)
+            for call in (oms_scores, oms_frame):
+                with pytest.raises(ValidationError, match="does not fit"):
+                    call(frame, params)
+            with pytest.raises(ValidationError, match="does not fit"):
+                oms_sequence([frame], params)
 
 
 class TestFilterFrame:
@@ -314,9 +321,8 @@ class TestOmsFrame:
         assert oms_frame(frame, OmsParams(mode="strided")).shape == (40, 56)
 
     def test_strided_zero_common_grid_rejected(self):
-        # 10x10 frame: surround has valid positions but center at stride 3
-        # still fits; shrink until the surround cannot produce output.
-        with pytest.raises((ConfigError, ValidationError)):
+        # A 7x7 frame cannot hold the 8x8 surround window anywhere.
+        with pytest.raises(ValidationError):
             oms_frame(np.zeros((7, 7), np.uint8), OmsParams(mode="strided"))
 
     @pytest.mark.parametrize("mode", ["dense", "strided"])
@@ -328,6 +334,63 @@ class TestOmsFrame:
             if prev is not None:
                 assert not (mask & ~prev).any()  # spike set shrinks
             prev = mask
+
+
+class TestStridedView:
+    """Strided mode is the dense score's valid region sampled every s_s
+    positions; it has no score of its own."""
+
+    KERNEL_PAIRS = [(2, 4), (1, 3), (3, 5)]
+
+    def test_lattice_equals_dense_bitwise(self, rng):
+        for r1, r2 in self.KERNEL_PAIRS:
+            for s in (1, 2, 3):
+                params = OmsParams(r1=r1, r2=r2, s_s=s, mode="strided")
+                for h, w in ((2 * r2, 2 * r2 + 7), (23, 31), (30, 2 * r2 + 1)):
+                    frame = (rng.random((h, w)) < 0.4).astype(np.uint8)
+                    dense = oms_scores(frame, OmsParams(r1=r1, r2=r2))
+                    got = oms_scores(frame, params)
+                    rows = np.arange(r2, h - r2 + 1, s)
+                    cols = np.arange(r2, w - r2 + 1, s)
+                    assert got.shape == (len(rows), len(cols))
+                    assert np.array_equal(got, dense[np.ix_(rows, cols)])
+
+    def test_unit_stride_mask_is_dense_mask_on_valid_region(self, rng):
+        for r1, r2 in self.KERNEL_PAIRS:
+            for _ in range(5):
+                frame = (rng.random((29, 37)) < 0.3).astype(np.uint8)
+                dense = oms_frame(frame, OmsParams(r1=r1, r2=r2, alpha=0.13))
+                valid = np.zeros_like(dense)
+                valid[r2:29 - r2 + 1, r2:37 - r2 + 1] = 1
+                got = oms_frame(frame, OmsParams(r1=r1, r2=r2, alpha=0.13, mode="strided"))
+                assert np.array_equal(got, dense * valid)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_spikes_centred_on_blob(self, s):
+        # A 16x16 blob at rows 24-39, cols 30-45, centred at (31.5, 37.5).
+        frame = np.zeros((64, 80), np.uint8)
+        frame[24:40, 30:46] = 1
+        mask = oms_frame(frame, OmsParams(alpha=0.13, s_s=s, mode="strided"))
+        ys, xs = np.nonzero(mask)
+        assert len(ys) > 0
+        assert abs(ys.mean() - 31.5) <= s + 1 and abs(xs.mean() - 37.5) <= s + 1
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_nearest_cell_upsampling(self, s):
+        # Each spiking cell covers the pixels nearest to its lattice point.
+        frame = np.zeros((64, 80), np.uint8)
+        frame[24:40, 30:46] = 1
+        params = OmsParams(alpha=0.13, s_s=s, mode="strided")
+        cells = oms_scores(frame, params) > 0.13
+        mask = oms_frame(frame, params)
+        assert cells.any()
+        r = params.r2
+        for y in range(64):
+            for x in range(80):
+                inside = r <= y <= 64 - r and r <= x <= 80 - r
+                i = min((y - r + s // 2) // s, cells.shape[0] - 1)
+                j = min((x - r + s // 2) // s, cells.shape[1] - 1)
+                assert mask[y, x] == (inside and cells[i, j])
 
 
 class TestOmsSequence:
@@ -378,6 +441,14 @@ class TestOmsSequence:
         assert workers == [3]  # one frame runs inline, without a pool
 
     def test_warns_when_alpha_cannot_fire(self, caplog):
+        self.check_cannot_fire_warning(caplog, "dense")
+
+    def test_warns_when_alpha_cannot_fire_strided(self, caplog):
+        # Strided scores are dense scores, so the same bound holds.
+        self.check_cannot_fire_warning(caplog, "strided")
+
+    @staticmethod
+    def check_cannot_fire_warning(caplog, mode):
         frames = [np.zeros((16, 16), np.uint8)]
         d = difference_kernel(*OmsParams().make_kernels())
         bound = float(d[d > 0].sum())
@@ -385,7 +456,7 @@ class TestOmsSequence:
         def warnings_for(alpha):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="oms"):
-                oms_sequence(frames, OmsParams(alpha=alpha))
+                oms_sequence(frames, OmsParams(alpha=alpha, mode=mode))
             return [r for r in caplog.records
                     if r.name == "oms" and r.levelno == logging.WARNING]
 
