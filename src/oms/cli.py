@@ -235,13 +235,15 @@ def _write_overlay(path, frame, gt, pred):
 @handle_errors
 def cmd_eval(pred_dir, manifest_path, out_path, verbose):
     """Evaluate predicted masks against a dataset's ground truth."""
-    manifest, frames = build_frames(manifest_path)
-    gts = _read_gts(manifest, manifest_path)
-    preds = [
-        read_mask(Path(pred_dir) / PRED_PATTERN.format(i), manifest.geometry)
-        for i in range(len(gts))
-    ]
-    report, frame_scores = evaluate_sequence(preds, gts, frames, with_frames=True)
+    timings: dict[str, float] = {}
+    manifest, frames = build_frames(manifest_path, timings)
+    with _timed(timings, "read_masks"):
+        gts = _read_gts(manifest, manifest_path)
+        preds = [read_mask(Path(pred_dir) / PRED_PATTERN.format(i), manifest.geometry)
+                 for i in range(len(gts))]
+    with _timed(timings, "evaluate"):
+        report, frame_scores = evaluate_sequence(preds, gts, frames, with_frames=True)
+    log.info("eval timings_ms %s", json.dumps({k: round(v, 3) for k, v in timings.items()}))
     doc = report.to_dict()
     if verbose:
         doc["frames"] = [

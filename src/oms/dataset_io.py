@@ -316,10 +316,34 @@ def load_dataset(manifest_path):
 # source tag: (event file, timestamp file, event loader, timestamp loader,
 #              accepted polarity encodings as (off, on) pairs)
 _LAYOUTS = {
-    "evimo": ("events.txt", "timestamps.txt", functools.partial(np.loadtxt, ndmin=2),
-              functools.partial(np.loadtxt, ndmin=1), ((0, 1),)),
+    "evimo": ("events.txt", "timestamps.txt", functools.partial(np.loadtxt, dtype=str, ndmin=2),
+              functools.partial(np.loadtxt, dtype=str, ndmin=1), ((0, 1),)),
     "mod": ("events.npy", "timestamps.npy", np.load, np.load, ((0, 1), (-1, 1))),
 }
+
+
+def _numbers(load, path: Path, what: str) -> np.ndarray:
+    """load(path) as float64; ParseError names the first row that is not numeric."""
+    raw = np.empty(0)  # stays empty when the load itself fails
+    try:
+        raw = load(path)
+        return raw.astype(np.float64)
+    except (TypeError, ValueError) as exc:  # a non-numeric row, or ragged rows
+        for i, row in enumerate(np.atleast_1d(raw)):
+            try:
+                np.asarray(row, np.float64)
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}: {what} {i}: {row.tolist()!r} is not numeric") from exc
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _microseconds(seconds: np.ndarray, path: Path, what: str) -> np.ndarray:
+    """Seconds as int64 us; ParseError names a value outside [0, 2^63) us."""
+    us = np.round(seconds * 1e6)
+    bad = np.flatnonzero(~((us >= 0) & (us < 2.0 ** 63)))  # checked before the cast wraps
+    if bad.size:
+        raise ParseError(f"{path}: {what} {bad[0]}: t={seconds[bad[0]]} s is not in [0, 2^63) us")
+    return us.astype(np.int64)
 
 
 def _import(source: str, src_dir, out_dir) -> DatasetManifest:
@@ -332,7 +356,7 @@ def _import(source: str, src_dir, out_dir) -> DatasetManifest:
         raise ParseError(f"{src}: missing required entries: {', '.join(missing)}")
     geometry = _read_meta_geometry(src, default=SensorGeometry(346, 260))
     path = src / event_file
-    raw = load_events(path)
+    raw = _numbers(load_events, path, "event")
     if raw.size == 0:
         raw = raw.reshape(0, 4)
     if raw.ndim != 2 or raw.shape[1] != 4:
@@ -352,11 +376,11 @@ def _import(source: str, src_dir, out_dir) -> DatasetManifest:
     if not mask_files:
         raise ParseError(f"no .pgm masks found in {src / 'masks'}")
     masks = [read_mask(f, geometry) for f in mask_files]
-    ts = load_timestamps(src / timestamp_file)
-    ts = [int(v) for v in np.round(np.asarray(ts) * 1e6).astype(np.int64)]
+    ts_path = src / timestamp_file
+    ts = _microseconds(_numbers(load_timestamps, ts_path, "timestamp"), ts_path, "timestamp")
     if len(ts) != len(masks):
         raise ParseError(f"{len(masks)} masks but {len(ts)} timestamps")
-    t_us = np.round(t * 1e6).astype(np.int64)
+    t_us = _microseconds(t, path, "event")
     order = np.argsort(t_us, kind="stable")
     events = np.empty(len(t_us), dtype=EVENT_DTYPE)
     events["t"] = t_us[order]

@@ -9,16 +9,19 @@ responses equally and is suppressed.
 Two filtering modes are provided:
 
 * dense (default): both kernels slide at stride 1 over a zero-padded frame,
-  so the score has the input resolution. Correlation is linear, so the two
-  responses are never computed: the score is |corr(F, D)| for the single
-  difference kernel D = surround - center (`kernels.difference_kernel`).
-  D's taps are grouped by exact value, once per kernel pair and frame width
-  (7 values for 52 nonzero taps at the defaults). The frame is padded once
-  into a flat uint8 buffer with rows of w + n - 1, where tap (dy, dx) is the
-  offset dy * (w + n - 1) + dx: per group the contiguous shifted slices are
-  summed into an integer count, which is cast to float64 once, scaled by its
-  value and added to the score in ascending value order. The padded columns
-  are cropped at the end.
+  so the score has the input resolution. Correlation is linear, so the score
+  is |corr(F, D)| for the single difference kernel D = surround - center
+  (`kernels.difference_kernel`), whose taps are grouped by exact value once
+  per kernel pair and frame width (7 values for 52 taps at the defaults).
+  The frame is padded once into a flat uint8 buffer with rows of w + n - 1,
+  where tap (dy, dx) is the offset dy * (w + n - 1) + dx, so each group's
+  integer count is a sum of contiguous slices. Each count is cast to float64,
+  scaled by its value and added in ascending value order: on the whole grid,
+  or, when under `_SPARSE_BELOW` of the positions have a nonzero count, on
+  those alone (the support). Both branches do the same operations on every
+  position they compute, and a skipped position adds only signed zeros, which
+  abs erases: the scores are bitwise equal, and the crossover is a speed
+  choice, not a second definition. `oms_frame` thresholds without a score map.
 * strided: the dense score's valid region (positions R .. H - R, R the
   larger radius, where both windows lie inside the frame) sampled every s_s
   positions, so cell (i, j) is dense position (R + s_s*i, R + s_s*j). Each
@@ -160,11 +163,15 @@ def filter_frame(
     return np.einsum("ijkl,kl->ij", windows, kernel.weights)
 
 
+_SPARSE_BELOW = 0.3  # support fraction of the crossover (module docstring), measured
+
+
 @functools.lru_cache(maxsize=16)
 def _tap_groups(r1: int, center: bytes, r2: int, surround: bytes, width: int):
-    """((value, count dtype, flat offsets), ...): the nonzero taps of D grouped
-    by exact value, ascending; tap (dy, dx) is at dy * (width + n - 1) + dx in
-    the flat padded frame. Cached per (kernels, frame width), so immutable."""
+    """(((value, count dtype, flat offsets), ...), total count dtype): the
+    nonzero taps of D grouped by exact value, ascending; tap (dy, dx) is at
+    dy * (width + n - 1) + dx in the flat padded frame. Cached per (kernels,
+    frame width), so immutable."""
     d = difference_kernel(
         Kernel(r1, 0.0, np.frombuffer(center).reshape(2 * r1, 2 * r1)),
         Kernel(r2, 0.0, np.frombuffer(surround).reshape(2 * r2, 2 * r2)),
@@ -174,40 +181,52 @@ def _tap_groups(r1: int, center: bytes, r2: int, surround: bytes, width: int):
     offsets = ys * (width + d.shape[0] - 1) + xs
     taps = [tuple(offsets[group == g].tolist()) for g in range(len(values))]
     # each tap adds at most 1, so the count never exceeds the group size
-    return tuple((v, np.min_scalar_type(len(t)), t) for v, t in zip(values, taps))
+    groups = tuple((v, np.min_scalar_type(len(t)), t) for v, t in zip(values, taps))
+    return groups, np.min_scalar_type(len(ys))
 
 
-def _dense_scores(frame: np.ndarray, center: Kernel, surround: Kernel) -> np.ndarray:
-    """|corr(F, D)| at stride 1 over the zero-padded frame (module docstring).
-    Taps are grouped by exact value, so any kernels work, at worst one group
-    per tap."""
+def _signed_corr(frame: np.ndarray, center: Kernel, surround: Kernel):
+    """(acc, support): corr(F, D) (module docstring). With support None, acc
+    is the (h, w + n - 1) grid, padding columns last; otherwise acc holds the
+    values at the flat frame positions in support, and the rest are 0."""
     h, w = frame.shape
     n = 2 * max(center.radius, surround.radius)
     _check_fits(n, frame.shape)
-    groups = _tap_groups(
+    groups, total_dtype = _tap_groups(
         center.radius, np.asarray(center.weights, np.float64).tobytes(),
         surround.radius, np.asarray(surround.weights, np.float64).tobytes(), w,
     )
+    if not groups:  # D == 0: the kernels cancel
+        return np.zeros((h, w)), None
     r, pw = n // 2, w + n - 1
     # One spare row: taps of the cropped columns x >= w read past the last row.
     padded = np.zeros((h + n) * pw, np.uint8)
     padded.reshape(h + n, pw)[r:r + h, r:r + w] = frame
-    size = h * pw
-    acc, scaled = None, np.empty(size)
-    for value, dtype, taps in groups:
+    size, counts, support = h * pw, [], None
+    for _, dtype, taps in groups:
         count = padded[taps[0]:taps[0] + size].astype(dtype)
         for o in taps[1:]:
             count += padded[o:o + size]
-        if acc is None:  # 0 + x is x up to the sign of a zero, which abs drops
-            acc = count.astype(np.float64)
-            acc *= value
-        else:
-            scaled[:] = count
-            scaled *= value
-            acc += scaled
-    if acc is None:  # D == 0: the kernels cancel
-        return np.zeros((h, w))
-    return np.abs(acc.reshape(h, pw)[:, :w], out=scaled[:h * w].reshape(h, w))
+        counts.append(count)
+    # D's footprint dilates the active pixels, so a dense frame skips the total.
+    if np.count_nonzero(frame) < _SPARSE_BELOW * h * w:
+        total = counts[0].astype(total_dtype)
+        for count in counts[1:]:
+            total += count
+        total.reshape(h, pw)[:, w:] = 0
+        if np.count_nonzero(total) < _SPARSE_BELOW * h * w:
+            support = np.flatnonzero(total != 0)
+            counts = [count[support] for count in counts]
+    acc = counts[0].astype(np.float64)  # 0 + x is x up to the sign of a zero, which abs drops
+    acc *= groups[0][0]
+    scaled = np.empty_like(acc)
+    for (value, _, _), count in zip(groups[1:], counts[1:]):
+        scaled[:] = count
+        scaled *= value
+        acc += scaled
+    if support is None:
+        return acc.reshape(h, pw), None
+    return acc, support - support // pw * (n - 1)  # padded rows to frame rows
 
 
 def oms_scores(
@@ -219,16 +238,21 @@ def oms_scores(
     """Per-position |center - surround| response before thresholding.
 
     The frame must be binary (bool, or values in {0, 1}); other values raise
-    ValidationError. Dense mode returns a full-resolution map; strided mode
-    returns the dense score's valid region sampled every s_s positions
+    ValidationError. Dense mode returns a fresh full-resolution map; strided
+    mode returns the dense score's valid region sampled every s_s positions
     (module docstring).
     """
     frame = _check_binary_frame(frame)
     center, surround = _kernels_for(frame.shape, params, center, surround)
-    scores = _dense_scores(frame, center, surround)
+    h, w = frame.shape
+    acc, support = _signed_corr(frame, center, surround)
+    if support is None:
+        scores = np.abs(acc[:, :w])
+    else:
+        scores = np.zeros((h, w))
+        scores.ravel()[support] = np.abs(acc)
     if params.mode == "dense":
         return scores
-    h, w = frame.shape
     r, s = max(center.radius, surround.radius), params.s_s
     return scores[r:h - r + 1:s, r:w - r + 1:s]
 
@@ -243,12 +267,17 @@ def oms_frame(
     input frame's shape. Spikes use strict inequality: score > alpha. The
     frame must be binary, as for oms_scores. In strided mode each pixel of
     the valid region takes its nearest lattice cell and the rest is 0."""
-    frame = _check_frame(frame)
+    frame = _check_binary_frame(frame)
     center, surround = _kernels_for(frame.shape, params, center, surround)
-    mask = (oms_scores(frame, params, center, surround) > params.alpha).astype(np.uint8)
-    if params.mode == "dense":
-        return mask
     h, w = frame.shape
+    if params.mode == "dense":  # |acc| > alpha, with no score map
+        acc, support = _signed_corr(frame, center, surround)
+        if support is None:  # abs in place: the whole grid is contiguous
+            return (np.abs(acc, out=acc)[:, :w] > params.alpha).view(np.uint8)
+        mask = np.zeros((h, w), np.uint8)
+        mask.ravel()[support[np.abs(acc) > params.alpha]] = 1
+        return mask
+    mask = oms_scores(frame, params, center, surround) > params.alpha
     r, s = max(center.radius, surround.radius), params.s_s
     rows = np.minimum((np.arange(h - 2 * r + 1) + s // 2) // s, mask.shape[0] - 1)
     cols = np.minimum((np.arange(w - 2 * r + 1) + s // 2) // s, mask.shape[1] - 1)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -195,6 +196,25 @@ class TestEval:
         result = run_cli("eval", "--pred-dir", out, "--manifest", manifest_path, "--verbose")
         report = json.loads(result.output)
         assert len(report["frames"]) == n
+
+    def test_stage_timings_logged_not_reported(self, dataset, tmp_path, caplog):
+        manifest_path, _ = dataset
+        out = tmp_path / "run"
+        run_cli("run", "--manifest", manifest_path, "--out", out, "--alpha", 0.13)
+        args = ("eval", "--pred-dir", out, "--manifest", manifest_path)
+        with caplog.at_level(logging.WARNING, logger="oms"):
+            quiet = run_cli(*args, "--out", tmp_path / "quiet.json")
+        assert not caplog.records
+        with caplog.at_level(logging.INFO, logger="oms"):
+            logged = run_cli(*args, "--out", tmp_path / "logged.json")
+        assert quiet.exit_code == logged.exit_code == 0
+        assert logged.stdout_bytes == quiet.stdout_bytes
+        assert (tmp_path / "logged.json").read_bytes() == (tmp_path / "quiet.json").read_bytes()
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("eval ")]
+        assert len(lines) == 1
+        timings = json.loads(lines[0].removeprefix("eval timings_ms "))
+        assert set(timings) == {"load", "bin", "read_masks", "evaluate"}
+        assert all(isinstance(v, float) and v >= 0 for v in timings.values())
 
 
 class TestSynth:

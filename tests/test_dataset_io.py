@@ -298,6 +298,54 @@ class TestImporters:
         with pytest.raises(ParseError, match="event 1: x="):
             import_mod(src, tmp_path / "native")
 
+    @pytest.mark.parametrize("row, match", [
+        ("0.1 1 2 x", "event 3: .* is not numeric"),
+        ("-0.1 1 2 1", r"event 3: t=-0.1 s is not in \[0, 2\^63\) us"),
+        ("nan 1 2 1", r"event 3: t=nan s is not in \[0, 2\^63\) us"),
+        ("1e13 1 2 1", r"event 3: t=10000000000000.0 s is not in \[0, 2\^63\) us"),
+    ])
+    @pytest.mark.parametrize("layout", ["evimo", "mod"])
+    def test_import_rejects_bad_event_row(self, tmp_path, rng, layout, row, match):
+        # A non-numeric row used to escape as numpy's ValueError, and a
+        # negative or NaN t was wrapped by the int64 -> u64 cast.
+        src = tmp_path / "evimo"
+        build_evimo_fixture(src, rng)
+        lines = (src / "events.txt").read_text().split("\n")[:-1]
+        lines[3] = row
+        if layout == "evimo":
+            (src / "events.txt").write_text("\n".join(lines) + "\n")
+        else:
+            np.save(src / "events.npy", np.array([line.split() for line in lines]))
+            np.save(src / "timestamps.npy", np.loadtxt(src / "timestamps.txt"))
+        importer = import_evimo if layout == "evimo" else import_mod
+        with pytest.raises(ParseError, match=f"events.{'txt' if layout == 'evimo' else 'npy'}: "
+                                             + match):
+            importer(src, tmp_path / "native")
+        assert not (tmp_path / "native").exists()
+
+    def test_import_evimo_ragged_row(self, tmp_path, rng):
+        src = tmp_path / "evimo"
+        build_evimo_fixture(src, rng)
+        lines = (src / "events.txt").read_text().split("\n")[:-1]
+        lines[3] = "0.1 1 2"
+        (src / "events.txt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"events\.txt: "):
+            import_evimo(src, tmp_path / "native")
+
+    @pytest.mark.parametrize("layout", ["evimo", "mod"])
+    @pytest.mark.parametrize("value, match", [("x", "is not numeric"), ("-0.2", "is not in")])
+    def test_import_rejects_bad_timestamp(self, tmp_path, rng, layout, value, match):
+        src = tmp_path / "evimo"
+        build_evimo_fixture(src, rng)
+        if layout == "evimo":
+            (src / "timestamps.txt").write_text(f"0.1\n{value}\n0.3\n")
+        else:
+            np.save(src / "events.npy", np.loadtxt(src / "events.txt"))
+            np.save(src / "timestamps.npy", np.array(["0.1", value, "0.3"]))
+        importer = import_evimo if layout == "evimo" else import_mod
+        with pytest.raises(ParseError, match=f"timestamps.* timestamp 1: .*{match}"):
+            importer(src, tmp_path / "native")
+
     def test_import_mod_fixture(self, tmp_path, rng):
         src = tmp_path / "mod"
         src.mkdir()

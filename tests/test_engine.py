@@ -1,10 +1,13 @@
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oms import engine
 from oms import (
@@ -20,6 +23,8 @@ from oms import (
     oms_sequence,
 )
 from oms.kernels import difference_kernel
+
+from conftest import pipeline_inputs, scene_config
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -261,6 +266,84 @@ class TestTapGroupCache:
         calls.clear()
         oms_sequence(frames, params)
         assert len(calls) <= few
+
+
+FIXED_PAIRS = [OmsParams(r1=2, r2=4), OmsParams(r1=1, r2=3),
+               OmsParams(r1=3, r2=6, sigma_c=0.9, sigma_s=2.7)]
+
+
+@st.composite
+def scoring_cases(draw):
+    """(params, two binary frames): a fixed kernel pair or a random one, on
+    frames whose height and width go down to exactly n = 2 * r2."""
+    if draw(st.booleans()):
+        params = draw(st.sampled_from(FIXED_PAIRS))
+    else:
+        r1 = draw(st.integers(1, 3))
+        r2 = draw(st.integers(r1 + 1, 5))
+        sigma = st.one_of(st.none(), st.floats(0.3, 3.0))
+        params = OmsParams(r1=r1, r2=r2, sigma_c=draw(sigma), sigma_s=draw(sigma))
+    params = replace(params, alpha=draw(st.sampled_from([0.0, 0.05, 0.13, 0.3])))
+    n = 2 * params.r2
+    shape = (draw(st.integers(n, n + 5)), draw(st.integers(n, n + 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.4, 1.0]))
+    frames = [rng.random(shape) < density for _ in range(2)]
+    return params, frames
+
+
+class TestSupportBranch:
+    """Scores on the support alone and on the full grid are two routes to
+    one score: they must agree bitwise, and the crossover must route real
+    frames."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scoring_cases())
+    def test_branches_agree_bitwise(self, case):
+        params, frames = case
+        center, surround = params.make_kernels()
+        frame = frames[0]
+        want = reference_scores(frame, center, surround)
+        results = []
+        for crossover in (0, 2):  # full grid, then support only
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_SPARSE_BELOW", crossover)
+                scores = oms_scores(frame, params, center, surround)
+                again = oms_scores(frame, params, center, surround)
+                mask = oms_frame(frame, params, center, surround)
+                seq = [oms_sequence(frames, params, threads=t) for t in (1, 2)]
+            assert np.max(np.abs(scores - want)) < 1e-12
+            assert np.array_equal(again, scores) and not np.shares_memory(again, scores)
+            assert mask.dtype == np.uint8 and np.array_equal(mask, scores > params.alpha)
+            assert all(np.array_equal(a, b) for a, b in zip(*seq))
+            assert np.array_equal(seq[0][0], mask)
+            results.append((scores.tobytes(), mask.tobytes()))
+        assert results[0] == results[1]
+
+    def test_large_tap_group_on_support(self, monkeypatch):
+        # 400 taps of D: a uint8 total of the counts would wrap to 0 where
+        # 16 x 16 taps cover the frame and drop those positions.
+        monkeypatch.setattr(engine, "_SPARSE_BELOW", 2)
+        TestDenseScores().test_large_tap_group_does_not_wrap()
+
+    def test_crossover_routes_fixture_frames(self, monkeypatch, br1_data):
+        on_support = []
+
+        def recording(frame, center, surround):
+            acc, support = signed_corr(frame, center, surround)
+            on_support.append(support is not None)
+            return acc, support
+
+        signed_corr = engine._signed_corr
+        monkeypatch.setattr(engine, "_signed_corr", recording)
+        params = OmsParams(alpha=0.13)
+        frames, _ = br1_data
+        oms_sequence(frames, params)
+        assert on_support == [True] * len(frames)
+        dense, _ = pipeline_inputs(replace(scene_config(0.3), n_frames=3))
+        on_support.clear()
+        oms_sequence(dense, params)
+        assert on_support == [False] * len(dense)
 
 
 class TestBinaryFrameContract:
