@@ -378,6 +378,8 @@ def _import(source: str, src_dir, out_dir) -> DatasetManifest:
     masks = [read_mask(f, geometry) for f in mask_files]
     ts_path = src / timestamp_file
     ts = _microseconds(_numbers(load_timestamps, ts_path, "timestamp"), ts_path, "timestamp")
+    if ts.ndim != 1:
+        raise ParseError(f"{ts_path}: expected a 1-D array of timestamps, got shape {ts.shape}")
     if len(ts) != len(masks):
         raise ParseError(f"{len(masks)} masks but {len(ts)} timestamps")
     t_us = _microseconds(t, path, "event")
@@ -422,7 +424,10 @@ def _read_meta_geometry(src: Path, default: SensorGeometry) -> SensorGeometry:
     if not meta.exists():
         return default
     try:
-        doc = json.loads(meta.read_text())
-        return SensorGeometry(doc["width"], doc["height"]).validate()
-    except (json.JSONDecodeError, KeyError) as exc:
+        doc = json.loads(meta.read_bytes().decode("utf-8"))
+        if not isinstance(doc, dict):
+            raise ParseError(f"{meta}: meta file must be a JSON object")
+        return SensorGeometry(*(_manifest_int(meta, k, doc[k], 1, 0xFFFF)
+                                for k in ("width", "height")))
+    except (ValueError, KeyError) as exc:  # ValueError: UnicodeDecodeError, JSONDecodeError
         raise ParseError(f"{meta}: malformed meta file: {exc}") from exc

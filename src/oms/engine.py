@@ -11,17 +11,19 @@ Two filtering modes are provided:
 * dense (default): both kernels slide at stride 1 over a zero-padded frame,
   so the score has the input resolution. Correlation is linear, so the score
   is |corr(F, D)| for the single difference kernel D = surround - center
-  (`kernels.difference_kernel`), whose taps are grouped by exact value once
-  per kernel pair and frame width (7 values for 52 taps at the defaults).
+  (`kernels.difference_kernel`), whose taps are grouped by exact value v_g
+  once per kernel pair and frame width (7 values for 52 taps at the defaults).
   The frame is padded once into a flat uint8 buffer with rows of w + n - 1,
   where tap (dy, dx) is the offset dy * (w + n - 1) + dx, so each group's
-  integer count is a sum of contiguous slices. Each count is cast to float64,
-  scaled by its value and added in ascending value order: on the whole grid,
-  or, when under `_SPARSE_BELOW` of the positions have a nonzero count, on
-  those alone (the support). Both branches do the same operations on every
-  position they compute, and a skipped position adds only signed zeros, which
-  abs erases: the scores are bitwise equal, and the crossover is a speed
-  choice, not a second definition. `oms_frame` thresholds without a score map.
+  integer count c_g is a sum of contiguous slices. The float step casts each
+  count to float64, scales it by v_g and adds in ascending value order.
+  `oms_scores` runs it on the whole grid. `oms_frame` first sums the int16
+  score S = sum V_g c_g, V_g = round(v_g 2^k), k the largest with
+  sum |V_g| |g| <= 32767, so no partial sum overflows. As 0 <= c_g <= |g|,
+  |corr - S 2^-k| <= sum |v_g - V_g 2^-k| |g| < E, whose slack covers float64
+  rounding: |S| > ceil((alpha + E) 2^k) spikes, |S| < floor((alpha - E) 2^k)
+  does not, and only the band between runs the float step, on its gathered
+  counts. Each mask is bitwise oms_scores > alpha.
 * strided: the dense score's valid region (positions R .. H - R, R the
   larger radius, where both windows lie inside the frame) sampled every s_s
   positions, so cell (i, j) is dense position (R + s_s*i, R + s_s*j). Each
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -163,70 +166,67 @@ def filter_frame(
     return np.einsum("ijkl,kl->ij", windows, kernel.weights)
 
 
-_SPARSE_BELOW = 0.3  # support fraction of the crossover (module docstring), measured
-
-
 @functools.lru_cache(maxsize=16)
 def _tap_groups(r1: int, center: bytes, r2: int, surround: bytes, width: int):
-    """(((value, count dtype, flat offsets), ...), total count dtype): the
-    nonzero taps of D grouped by exact value, ascending; tap (dy, dx) is at
-    dy * (width + n - 1) + dx in the flat padded frame. Cached per (kernels,
-    frame width), so immutable."""
+    """(((value, V, count dtype, flat offsets), ...), k, E): the nonzero taps
+    of D grouped by exact value, ascending, with tap (dy, dx) at dy * (width +
+    n - 1) + dx in the flat padded frame; V = round(value * 2^k) as int16 for
+    the largest k with sum(|V| * taps) <= 32767, and E bounds the error of
+    the int16 score (module docstring). Cached per (kernels, frame width)."""
     d = difference_kernel(
         Kernel(r1, 0.0, np.frombuffer(center).reshape(2 * r1, 2 * r1)),
         Kernel(r2, 0.0, np.frombuffer(surround).reshape(2 * r2, 2 * r2)),
     )
+    if not np.isfinite(d).all():
+        raise ValidationError("kernel weights must be finite")
     ys, xs = np.nonzero(d)
     values, group = np.unique(d[ys, xs], return_inverse=True)
     offsets = ys * (width + d.shape[0] - 1) + xs
     taps = [tuple(offsets[group == g].tolist()) for g in range(len(values))]
-    # each tap adds at most 1, so the count never exceeds the group size
-    groups = tuple((v, np.min_scalar_type(len(t)), t) for v, t in zip(values, taps))
-    return groups, np.min_scalar_type(len(ys))
+    sizes = np.array([len(t) for t in taps])
+    k = next(k for k in range(62, -64, -1) if np.abs(np.round(values * 2.0**k)) @ sizes <= 32767)
+    ints = np.round(values * 2.0**k)
+    err = np.abs(values - ints / 2.0**k) @ sizes + 1e-12 * (1 + np.abs(values) @ sizes)
+    # each tap adds at most 1, so a count never exceeds its group's size
+    groups = tuple((v, np.int16(q), np.min_scalar_type(len(t)), t)
+                   for v, q, t in zip(values.tolist(), ints.tolist(), taps))
+    return groups, k, err
 
 
-def _signed_corr(frame: np.ndarray, center: Kernel, surround: Kernel):
-    """(acc, support): corr(F, D) (module docstring). With support None, acc
-    is the (h, w + n - 1) grid, padding columns last; otherwise acc holds the
-    values at the flat frame positions in support, and the rest are 0."""
+def _tap_counts(frame: np.ndarray, center: Kernel, surround: Kernel):
+    """(groups, k, E, counts): `_tap_groups` and each group's integer count
+    on the flat (h, w + n - 1) grid, padding columns last."""
     h, w = frame.shape
     n = 2 * max(center.radius, surround.radius)
     _check_fits(n, frame.shape)
-    groups, total_dtype = _tap_groups(
+    groups, k, err = _tap_groups(
         center.radius, np.asarray(center.weights, np.float64).tobytes(),
         surround.radius, np.asarray(surround.weights, np.float64).tobytes(), w,
     )
-    if not groups:  # D == 0: the kernels cancel
-        return np.zeros((h, w)), None
     r, pw = n // 2, w + n - 1
     # One spare row: taps of the cropped columns x >= w read past the last row.
     padded = np.zeros((h + n) * pw, np.uint8)
     padded.reshape(h + n, pw)[r:r + h, r:r + w] = frame
-    size, counts, support = h * pw, [], None
-    for _, dtype, taps in groups:
+    size, counts = h * pw, []
+    for *_, dtype, taps in groups:
         count = padded[taps[0]:taps[0] + size].astype(dtype)
         for o in taps[1:]:
             count += padded[o:o + size]
         counts.append(count)
-    # D's footprint dilates the active pixels, so a dense frame skips the total.
-    if np.count_nonzero(frame) < _SPARSE_BELOW * h * w:
-        total = counts[0].astype(total_dtype)
-        for count in counts[1:]:
-            total += count
-        total.reshape(h, pw)[:, w:] = 0
-        if np.count_nonzero(total) < _SPARSE_BELOW * h * w:
-            support = np.flatnonzero(total != 0)
-            counts = [count[support] for count in counts]
-    acc = counts[0].astype(np.float64)  # 0 + x is x up to the sign of a zero, which abs drops
+    return groups, k, err, counts
+
+
+def _float_corr(groups, counts, at=slice(None)) -> np.ndarray:
+    """corr(F, D) in float64 at the flat positions `at` of the counts: each
+    count cast, scaled by its value and added in ascending value order."""
+    acc = counts[0][at].astype(np.float64)  # 0 + x is x up to the sign of a zero, which abs drops
     acc *= groups[0][0]
     scaled = np.empty_like(acc)
-    for (value, _, _), count in zip(groups[1:], counts[1:]):
-        scaled[:] = count
+    for (value, *_), count in zip(groups[1:], counts[1:]):
+        scaled[:] = count[at]
         scaled *= value
         acc += scaled
-    if support is None:
-        return acc.reshape(h, pw), None
-    return acc, support - support // pw * (n - 1)  # padded rows to frame rows
+    return acc
 
 
 def oms_scores(
@@ -245,12 +245,11 @@ def oms_scores(
     frame = _check_binary_frame(frame)
     center, surround = _kernels_for(frame.shape, params, center, surround)
     h, w = frame.shape
-    acc, support = _signed_corr(frame, center, surround)
-    if support is None:
-        scores = np.abs(acc[:, :w])
-    else:
+    groups, _, _, counts = _tap_counts(frame, center, surround)
+    if not groups:  # D == 0: the kernels cancel
         scores = np.zeros((h, w))
-        scores.ravel()[support] = np.abs(acc)
+    else:
+        scores = np.abs(_float_corr(groups, counts).reshape(h, -1)[:, :w])
     if params.mode == "dense":
         return scores
     r, s = max(center.radius, surround.radius), params.s_s
@@ -270,13 +269,22 @@ def oms_frame(
     frame = _check_binary_frame(frame)
     center, surround = _kernels_for(frame.shape, params, center, surround)
     h, w = frame.shape
-    if params.mode == "dense":  # |acc| > alpha, with no score map
-        acc, support = _signed_corr(frame, center, surround)
-        if support is None:  # abs in place: the whole grid is contiguous
-            return (np.abs(acc, out=acc)[:, :w] > params.alpha).view(np.uint8)
-        mask = np.zeros((h, w), np.uint8)
-        mask.ravel()[support[np.abs(acc) > params.alpha]] = 1
-        return mask
+    if params.mode == "dense":  # |S| decides outside [lo, hi], the float step inside
+        groups, k, err, counts = _tap_counts(frame, center, surround)
+        if not groups:
+            return np.zeros((h, w), np.uint8)
+        score, scaled = np.zeros((2, counts[0].size), np.int16)
+        for (_, q, _, _), count in zip(groups, counts):  # k keeps every partial sum in int16
+            scaled[:] = count
+            scaled *= q
+            score += scaled
+        hi = min(math.ceil((params.alpha + err) * 2.0**k), 32767)
+        lo = min(max(math.floor((params.alpha - err) * 2.0**k), 0), hi)
+        mask = np.abs(score, out=score) > hi
+        score -= lo  # lo <= |S| <= hi as one unsigned compare
+        band = np.flatnonzero(score.view(np.uint16) <= hi - lo)
+        mask[band] = np.abs(_float_corr(groups, counts, band)) > params.alpha
+        return mask.view(np.uint8).reshape(h, -1)[:, :w].copy()
     mask = oms_scores(frame, params, center, surround) > params.alpha
     r, s = max(center.radius, surround.radius), params.s_s
     rows = np.minimum((np.arange(h - 2 * r + 1) + s // 2) // s, mask.shape[0] - 1)

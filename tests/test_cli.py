@@ -1,11 +1,17 @@
 import json
 import logging
 import os
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oms import engine
 from oms.cli import _resolve_threads, main
 from oms.dataset_io import DatasetManifest, mask_filename, read_events, read_mask, write_dataset
 from oms.events import accumulate_frame, window_events
@@ -286,6 +292,85 @@ class TestBench:
         result = run_cli("bench", "--manifest", manifest_path)
         assert result.exit_code == 0
         assert "nothing to benchmark" in result.output
+
+
+def strict_json(text):
+    """json.loads that fails on NaN and Infinity."""
+    def reject(constant):
+        raise AssertionError(f"non-finite {constant} in output")
+    return json.loads(text, parse_constant=reject)
+
+
+def mostly(valid, junk):
+    """valid in about three draws of four, junk in the rest."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else junk)
+
+
+FUZZ_JUNK = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+             | st.text(max_size=3) | st.lists(st.integers(), max_size=2))
+FUZZ_PARAMS = st.fixed_dictionaries({}, optional={
+    "r1": mostly(st.integers(1, 3), FUZZ_JUNK),
+    "r2": mostly(st.integers(4, 8), FUZZ_JUNK),
+    "stride": mostly(st.integers(1, 4), FUZZ_JUNK),
+    "alpha": mostly(st.floats(0, 1), FUZZ_JUNK),
+    "mode": mostly(st.sampled_from(["dense", "strided"]), FUZZ_JUNK),
+    "sigma_c": mostly(st.floats(0.3, 4), FUZZ_JUNK),
+    "sigma_s": mostly(st.floats(0.3, 4), FUZZ_JUNK),
+    "emit_overlays": FUZZ_JUNK,
+    "other": FUZZ_JUNK,
+    # never more than 2 workers: no "auto", which is the host's CPU count
+    "threads": st.sampled_from([1, 2, 0, -1, "x", 1.5, True, None, [2]]),
+})
+FUZZ_CONFIGS = mostly(FUZZ_PARAMS, FUZZ_JUNK)
+FUZZ_THREADS = mostly(st.sampled_from([None, "1", "2"]), st.sampled_from(["0", "-1", "x", "1.5"]))
+FUZZ_FLAGS = st.fixed_dictionaries({}, optional={
+    "--alpha": mostly(st.floats(0, 1), st.floats()).map(repr),
+    "--r1": mostly(st.integers(1, 3), st.integers(-2, 30)).map(str),
+    "--r2": mostly(st.integers(4, 8), st.integers(-2, 40)).map(str),
+})
+
+
+class TestCliFuzz:
+    """run, eval and bench exit 0 or 2 on any config, thread count, alpha
+    and radii, and never print or write a NaN."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=FUZZ_CONFIGS, threads=FUZZ_THREADS, bench_threads=FUZZ_THREADS,
+           flags=FUZZ_FLAGS, verbose=st.booleans())
+    def test_run_eval_bench(self, dataset, config, threads, bench_threads, flags, verbose):
+        manifest_path, _ = dataset
+        args = [a for kv in flags.items() for a in kv]
+        workers = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "ThreadPoolExecutor", CountingPool)
+            tmp = Path(tmp)
+            cfg = tmp / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp / "run"
+            thread_args = [] if threads is None else ["--threads", threads]
+            results = [run_cli("run", "--manifest", manifest_path, "--out", out,
+                               "--config", cfg, *thread_args, *args)]
+            if results[0].exit_code == 0:
+                strict_json((out / "run.json").read_text())
+            results.append(run_cli("eval", "--pred-dir", out, "--manifest", manifest_path,
+                                   *(["--verbose"] if verbose else [])))
+            if results[0].exit_code == 0:
+                assert results[1].exit_code == 0, results[1].output
+                strict_json(results[1].output)
+            results.append(run_cli("bench", "--manifest", manifest_path,
+                                   "--threads", bench_threads or "1", *args))
+            if results[2].exit_code == 0:
+                strict_json(results[2].output)
+        assert all(w <= 2 for w in workers)
+        for result in results:
+            assert result.exit_code in (0, 2), result.output
+            assert "NaN" not in result.output and "Infinity" not in result.output
 
 
 class TestKernelDump:

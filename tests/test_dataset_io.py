@@ -346,6 +346,47 @@ class TestImporters:
         with pytest.raises(ParseError, match=f"timestamps.* timestamp 1: .*{match}"):
             importer(src, tmp_path / "native")
 
+    @pytest.mark.parametrize("layout, timestamps", [
+        ("mod", np.float64(0.1)),
+        ("mod", np.array([[0.1, 0.15], [0.2, 0.25], [0.3, 0.35]])),
+        ("evimo", "0.1 0.15\n0.2 0.25\n0.3 0.35\n"),
+    ], ids=["mod-0d", "mod-2d", "evimo-2d"])
+    def test_import_rejects_non_1d_timestamps(self, tmp_path, rng, layout, timestamps):
+        # Each used to escape as TypeError: from len(), or from int() of a row.
+        src = tmp_path / "evimo"
+        build_evimo_fixture(src, rng)
+        if layout == "evimo":
+            (src / "timestamps.txt").write_text(timestamps)
+        else:
+            np.save(src / "events.npy", np.loadtxt(src / "events.txt"))
+            np.save(src / "timestamps.npy", timestamps)
+        importer = import_evimo if layout == "evimo" else import_mod
+        with pytest.raises(ParseError, match="expected a 1-D array of timestamps"):
+            importer(src, tmp_path / "native")
+        assert not (tmp_path / "native").exists()
+
+    @pytest.mark.parametrize("meta, match", [
+        ("[1, 2]", "meta file must be a JSON object"),
+        ('{"width": "a", "height": 24}', r"width must be an integer in \[1, 65535\], got 'a'"),
+        ('{"width": 32, "height": 3.5}', r"height must be an integer in \[1, 65535\], got 3.5"),
+        ('{"width": 0, "height": 24}', r"width must be an integer in \[1, 65535\], got 0"),
+        ('{"width": 32, "height": 65536}', r"height must be an integer in \[1, 65535\]"),
+        ('{"width": true, "height": 24}', r"width must be an integer in \[1, 65535\]"),
+        ('{"width": 32}', "malformed meta file"),
+        ("{", "malformed meta file"),
+    ])
+    @pytest.mark.parametrize("layout", ["evimo", "mod"])
+    def test_import_rejects_bad_meta(self, tmp_path, rng, layout, meta, match):
+        src = tmp_path / "evimo"
+        build_evimo_fixture(src, rng)
+        (src / "meta.json").write_text(meta)
+        if layout == "mod":
+            np.save(src / "events.npy", np.loadtxt(src / "events.txt"))
+            np.save(src / "timestamps.npy", np.loadtxt(src / "timestamps.txt"))
+        importer = import_evimo if layout == "evimo" else import_mod
+        with pytest.raises(ParseError, match=r"meta\.json: " + match):
+            importer(src, tmp_path / "native")
+
     def test_import_mod_fixture(self, tmp_path, rng):
         src = tmp_path / "mod"
         src.mkdir()

@@ -24,7 +24,6 @@ from oms import (
 )
 from oms.kernels import difference_kernel
 
-from conftest import pipeline_inputs, scene_config
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -292,58 +291,85 @@ def scoring_cases(draw):
     return params, frames
 
 
-class TestSupportBranch:
-    """Scores on the support alone and on the full grid are two routes to
-    one score: they must agree bitwise, and the crossover must route real
-    frames."""
+def reached_alphas(scores, data):
+    """0.0, one score value the frame reaches and its float64 neighbours,
+    all inside OmsParams' [0, 1]."""
+    value = data.draw(st.sampled_from(sorted(set(scores.ravel().tolist()))))
+    alphas = {0.0, value, np.nextafter(value, -np.inf), np.nextafter(value, np.inf)}
+    return sorted(float(a) for a in alphas if 0.0 <= a <= 1.0)
+
+
+class TestInt16Band:
+    """oms_frame decides dense spikes on an int16 score S and runs the float
+    step only on the band where S cannot decide; every mask must equal the
+    float score thresholded, bit for bit, even at a reached score value."""
 
     @settings(max_examples=60, deadline=None)
-    @given(scoring_cases())
-    def test_branches_agree_bitwise(self, case):
+    @given(scoring_cases(), st.data())
+    def test_mask_is_float_threshold(self, case, data):
         params, frames = case
         center, surround = params.make_kernels()
         frame = frames[0]
-        want = reference_scores(frame, center, surround)
-        results = []
-        for crossover in (0, 2):  # full grid, then support only
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(engine, "_SPARSE_BELOW", crossover)
-                scores = oms_scores(frame, params, center, surround)
-                again = oms_scores(frame, params, center, surround)
-                mask = oms_frame(frame, params, center, surround)
-                seq = [oms_sequence(frames, params, threads=t) for t in (1, 2)]
-            assert np.max(np.abs(scores - want)) < 1e-12
-            assert np.array_equal(again, scores) and not np.shares_memory(again, scores)
-            assert mask.dtype == np.uint8 and np.array_equal(mask, scores > params.alpha)
+        scores = oms_scores(frame, params, center, surround)
+        again = oms_scores(frame, params, center, surround)
+        assert np.max(np.abs(scores - reference_scores(frame, center, surround))) < 1e-12
+        assert np.array_equal(again, scores) and not np.shares_memory(again, scores)
+        for alpha in reached_alphas(scores, data):
+            p = replace(params, alpha=alpha)
+            mask = oms_frame(frame, p, center, surround)
+            assert mask.dtype == np.uint8 and np.array_equal(mask, scores > alpha)
+            seq = [oms_sequence(frames, p, threads=t) for t in (1, 2)]
             assert all(np.array_equal(a, b) for a, b in zip(*seq))
             assert np.array_equal(seq[0][0], mask)
-            results.append((scores.tobytes(), mask.tobytes()))
-        assert results[0] == results[1]
 
-    def test_large_tap_group_on_support(self, monkeypatch):
-        # 400 taps of D: a uint8 total of the counts would wrap to 0 where
-        # 16 x 16 taps cover the frame and drop those positions.
-        monkeypatch.setattr(engine, "_SPARSE_BELOW", 2)
-        TestDenseScores().test_large_tap_group_does_not_wrap()
+    def test_large_tap_group_does_not_wrap(self):
+        # A flat 20x20 surround puts 384 equal taps in one group: its count
+        # needs uint16, and k must keep V * 384 and every partial sum of S
+        # inside int16.
+        params = OmsParams(r1=2, r2=10)
+        center = make_feathered_kernel(2, 1.0)
+        surround = Kernel(radius=10, sigma=1.0, weights=np.full((20, 20), 1 / 400))
+        frame = np.ones((20, 24), np.uint8)
+        want = reference_scores(frame, center, surround)
+        scores = oms_scores(frame, params, center, surround)
+        for alpha in np.unique(scores).tolist():
+            mask = oms_frame(frame, replace(params, alpha=alpha), center, surround)
+            assert np.array_equal(mask, scores > alpha)
+        levels = np.unique(np.round(want, 9))
+        between = (levels[:-1] + levels[1:]) / 2
+        assert len(between) > 10 and np.min(np.abs(want[..., None] - between)) > 1e-9
+        for alpha in between.tolist():
+            mask = oms_frame(frame, replace(params, alpha=alpha), center, surround)
+            assert np.array_equal(mask, want > alpha)
 
-    def test_crossover_routes_fixture_frames(self, monkeypatch, br1_data):
-        on_support = []
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_rejected(self, bad):
+        weights = np.full((8, 8), 1 / 64)
+        weights[0, 0] = bad
+        surround = Kernel(radius=4, sigma=2.0, weights=weights)
+        center = make_feathered_kernel(2, 1.0)
+        frame = np.ones((10, 12), np.uint8)
+        for score in (oms_scores, oms_frame):
+            with pytest.raises(ValidationError, match="finite"):
+                score(frame, OmsParams(), center, surround)
 
-        def recording(frame, center, surround):
-            acc, support = signed_corr(frame, center, surround)
-            on_support.append(support is not None)
-            return acc, support
+    def test_float_step_runs_on_few_br1_positions(self, monkeypatch, br1_data):
+        positions = []
 
-        signed_corr = engine._signed_corr
-        monkeypatch.setattr(engine, "_signed_corr", recording)
+        def recording(groups, counts, at=slice(None)):
+            positions.append(len(at))
+            return float_corr(groups, counts, at)
+
+        float_corr = engine._float_corr
+        monkeypatch.setattr(engine, "_float_corr", recording)
         params = OmsParams(alpha=0.13)
         frames, _ = br1_data
-        oms_sequence(frames, params)
-        assert on_support == [True] * len(frames)
-        dense, _ = pipeline_inputs(replace(scene_config(0.3), n_frames=3))
-        on_support.clear()
-        oms_sequence(dense, params)
-        assert on_support == [False] * len(dense)
+        masks = oms_sequence(frames, params)
+        assert len(positions) == len(frames)
+        assert 0 < sum(positions) and max(positions) < 0.01 * frames[0].size
+        monkeypatch.undo()
+        for frame, mask in zip(frames, masks):
+            assert np.array_equal(mask, oms_scores(frame, params) > params.alpha)
 
 
 class TestBinaryFrameContract:
