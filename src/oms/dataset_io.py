@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .events import _T_MAX, EVENT_DTYPE, SensorGeometry, validate_stream
+from .events import _T_MAX, EVENT_DTYPE, SensorGeometry, as_event_array
+from .events import _check_bounds, _check_order_and_polarity
 
 MAGIC = b"EVT1"
 HEADER_SIZE = 16
@@ -41,7 +42,9 @@ CSV_HEADER = "t,x,y,p"
 def write_events(events, geometry: SensorGeometry, path) -> None:
     """Write the native binary event format (validates bounds first)."""
     geometry = SensorGeometry(*geometry).validate()
-    ev = validate_stream(events, geometry)
+    ev = as_event_array(events)
+    _check_order_and_polarity(ev)
+    _check_bounds(ev, geometry)
     header = MAGIC + struct.pack("<HH", geometry.width, geometry.height) + b"\x00" * 8
     Path(path).write_bytes(header + ev.tobytes())
 

@@ -26,11 +26,15 @@ Two filtering modes are provided:
   counts. Each mask is bitwise oms_scores > alpha.
 * strided: the dense score's valid region (positions R .. H - R, R the
   larger radius, where both windows lie inside the frame) sampled every s_s
-  positions, so cell (i, j) is dense position (R + s_s*i, R + s_s*j). Each
-  valid-region pixel takes its nearest cell's spike, (y - R + s_s//2) // s_s
-  clipped to the grid; pixels outside are 0. The paper's center stride
+  positions, so cell (i, j) is dense position (R + s_s*i, R + s_s*j).
+  `oms_frame` samples the dense mask there. Each valid-region pixel takes
+  its nearest cell's spike, (y - R + s_s//2) // s_s clipped to the grid;
+  pixels outside are 0. The paper's center stride
   s_c = s_s + r2 - r1 is not used: grids at two strides sample different
   input positions, so the spikes would land away from their stimulus.
+
+`filter_frame` runs the same scorer with its one kernel as D (an empty
+center), and its strided output is the same lattice of its dense output.
 
 Frames must be binary (bool, or values in {0, 1}); anything else raises
 ValidationError, because the score bound and the uint8 counts rely on it.
@@ -46,7 +50,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ValidationError
 from .kernels import Kernel, difference_kernel, make_feathered_kernel
@@ -80,6 +83,9 @@ class OmsParams:
             raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name, sigma in (("sigma_c", self.sigma_c), ("sigma_s", self.sigma_s)):
+            if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
+                raise ParameterError(f"{name} must be finite and > 0, got {sigma!r}")
 
     @property
     def center_sigma(self) -> float:
@@ -144,26 +150,27 @@ def filter_frame(
     y-r .. y+r-1 and the analogous columns (the even kernel is anchored at
     its continuous center, biased half a pixel up-left). Strided mode is a
     valid correlation with the given stride, output shape
-    floor((H - 2r)/stride) + 1 by floor((W - 2r)/stride) + 1.
+    floor((H - 2r)/stride) + 1 by floor((W - 2r)/stride) + 1: the dense
+    output's valid region sampled every `stride` positions. Both run the
+    dense scorer with the kernel as D (an empty center).
 
     Returns float64; values lie in [0, 1] for a {0,1} frame because the
-    kernel is non-negative and sums to one.
+    kernel is non-negative and sums to one. The frame must be binary, as
+    for oms_scores.
     """
-    frame = _check_frame(frame)
-    r = kernel.radius
-    n = kernel.size
-    _check_fits(n, frame.shape)
+    frame = _check_binary_frame(frame)
     if mode not in MODES:
         raise ParameterError(f"unknown filter mode {mode!r}")
-    data = frame.astype(np.float64)
-    if mode == "dense":
-        padded = np.pad(data, ((r, r - 1), (r, r - 1)))
-        windows = sliding_window_view(padded, (n, n))
-    else:
-        if stride < 1:
-            raise ParameterError(f"stride must be >= 1, got {stride}")
-        windows = sliding_window_view(data, (n, n))[::stride, ::stride]
-    return np.einsum("ijkl,kl->ij", windows, kernel.weights)
+    if mode == "strided" and stride < 1:
+        raise ParameterError(f"stride must be >= 1, got {stride}")
+    corr = _corr(frame, Kernel(1, 0.0, np.zeros((2, 2))), kernel)
+    return corr if mode == "dense" else corr[_lattice(kernel.radius, stride, *frame.shape)]
+
+
+def _lattice(r: int, s: int, h: int, w: int) -> tuple[slice, slice]:
+    """The valid region of an h x w dense output, positions r .. h - r and
+    r .. w - r, sampled every s positions: cell (i, j) is (r + s*i, r + s*j)."""
+    return slice(r, h - r + 1, s), slice(r, w - r + 1, s)
 
 
 @functools.lru_cache(maxsize=16)
@@ -179,7 +186,7 @@ def _tap_groups(r1: int, center: bytes, r2: int, surround: bytes, width: int):
     )
     if not np.isfinite(d).all():
         raise ValidationError("kernel weights must be finite")
-    ys, xs = np.nonzero(d)
+    ys, xs = np.nonzero(d if d.any() else np.ones_like(d))  # D == 0: one zero group
     values, group = np.unique(d[ys, xs], return_inverse=True)
     offsets = ys * (width + d.shape[0] - 1) + xs
     taps = [tuple(offsets[group == g].tolist()) for g in range(len(values))]
@@ -229,6 +236,12 @@ def _float_corr(groups, counts, at=slice(None)) -> np.ndarray:
     return acc
 
 
+def _corr(frame: np.ndarray, center: Kernel, surround: Kernel) -> np.ndarray:
+    """corr(F, D) in float64 on the frame's grid."""
+    groups, _, _, counts = _tap_counts(frame, center, surround)
+    return _float_corr(groups, counts).reshape(frame.shape[0], -1)[:, :frame.shape[1]]
+
+
 def oms_scores(
     frame: np.ndarray,
     params: OmsParams,
@@ -244,16 +257,10 @@ def oms_scores(
     """
     frame = _check_binary_frame(frame)
     center, surround = _kernels_for(frame.shape, params, center, surround)
-    h, w = frame.shape
-    groups, _, _, counts = _tap_counts(frame, center, surround)
-    if not groups:  # D == 0: the kernels cancel
-        scores = np.zeros((h, w))
-    else:
-        scores = np.abs(_float_corr(groups, counts).reshape(h, -1)[:, :w])
-    if params.mode == "dense":
-        return scores
-    r, s = max(center.radius, surround.radius), params.s_s
-    return scores[r:h - r + 1:s, r:w - r + 1:s]
+    corr = _corr(frame, center, surround)
+    if params.mode == "strided":
+        corr = corr[_lattice(max(center.radius, surround.radius), params.s_s, *frame.shape)]
+    return np.abs(corr)
 
 
 def oms_frame(
@@ -269,28 +276,28 @@ def oms_frame(
     frame = _check_binary_frame(frame)
     center, surround = _kernels_for(frame.shape, params, center, surround)
     h, w = frame.shape
-    if params.mode == "dense":  # |S| decides outside [lo, hi], the float step inside
-        groups, k, err, counts = _tap_counts(frame, center, surround)
-        if not groups:
-            return np.zeros((h, w), np.uint8)
-        score, scaled = np.zeros((2, counts[0].size), np.int16)
-        for (_, q, _, _), count in zip(groups, counts):  # k keeps every partial sum in int16
-            scaled[:] = count
-            scaled *= q
-            score += scaled
-        hi = min(math.ceil((params.alpha + err) * 2.0**k), 32767)
-        lo = min(max(math.floor((params.alpha - err) * 2.0**k), 0), hi)
-        mask = np.abs(score, out=score) > hi
-        score -= lo  # lo <= |S| <= hi as one unsigned compare
-        band = np.flatnonzero(score.view(np.uint16) <= hi - lo)
-        mask[band] = np.abs(_float_corr(groups, counts, band)) > params.alpha
-        return mask.view(np.uint8).reshape(h, -1)[:, :w].copy()
-    mask = oms_scores(frame, params, center, surround) > params.alpha
+    groups, k, err, counts = _tap_counts(frame, center, surround)
+    # The dense mask: |S| decides outside [lo, hi], the float step inside.
+    score, scaled = np.zeros((2, counts[0].size), np.int16)
+    for (_, q, _, _), count in zip(groups, counts):  # k keeps every partial sum in int16
+        scaled[:] = count
+        scaled *= q
+        score += scaled
+    hi = min(math.ceil((params.alpha + err) * 2.0**k), 32767)
+    lo = min(max(math.floor((params.alpha - err) * 2.0**k), 0), hi)
+    mask = np.abs(score, out=score) > hi
+    score -= lo  # lo <= |S| <= hi as one unsigned compare
+    band = np.flatnonzero(score.view(np.uint16) <= hi - lo)
+    mask[band] = np.abs(_float_corr(groups, counts, band)) > params.alpha
+    mask = mask.view(np.uint8).reshape(h, -1)[:, :w]
+    if params.mode == "dense":
+        return mask.copy()
     r, s = max(center.radius, surround.radius), params.s_s
-    rows = np.minimum((np.arange(h - 2 * r + 1) + s // 2) // s, mask.shape[0] - 1)
-    cols = np.minimum((np.arange(w - 2 * r + 1) + s // 2) // s, mask.shape[1] - 1)
+    cells = mask[_lattice(r, s, h, w)]
+    rows = np.minimum((np.arange(h - 2 * r + 1) + s // 2) // s, cells.shape[0] - 1)
+    cols = np.minimum((np.arange(w - 2 * r + 1) + s // 2) // s, cells.shape[1] - 1)
     full = np.zeros((h, w), np.uint8)
-    full[r:h - r + 1, r:w - r + 1] = mask[np.ix_(rows, cols)]
+    full[_lattice(r, 1, h, w)] = cells[np.ix_(rows, cols)]
     return full
 
 

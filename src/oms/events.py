@@ -15,8 +15,8 @@ downstream center-surround stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -62,18 +62,6 @@ def as_event_array(events: EventsLike) -> np.ndarray:
     if not rows:
         return np.empty(0, dtype=EVENT_DTYPE)
     return np.array(rows, dtype=EVENT_DTYPE)
-
-
-def validate_stream(events: np.ndarray, geometry: SensorGeometry | None = None) -> np.ndarray:
-    """Check ordering, polarity, and (optionally) coordinate bounds of a stream.
-
-    Raises ValidationError naming the first offending index.
-    """
-    events = as_event_array(events)
-    _check_order_and_polarity(events)
-    if geometry is not None:
-        _check_bounds(events, geometry)
-    return events
 
 
 def _check_order_and_polarity(events: np.ndarray) -> np.ndarray:
@@ -184,14 +172,19 @@ def bin_events(
     ev = as_event_array(stream)
     _, bounds = _window_bounds(_check_order_and_polarity(ev), mask_timestamps)
     _check_bounds(ev[: bounds[-1]], geometry)
-    stack = np.zeros((bounds.size - 1, *geometry.shape), dtype=np.uint8)
-    x, y = ev["x"], ev["y"]
+    return _paint(ev, bounds, geometry)
+
+
+def _paint(events: np.ndarray, bounds, geometry: SensorGeometry) -> np.ndarray:
+    """A (len(bounds) - 1, height, width) uint8 stack whose frame k has pixel
+    y * width + x set for every event of events[bounds[k]:bounds[k + 1]]; the
+    index temporaries are one window long."""
+    stack = np.zeros((len(bounds) - 1, *geometry.shape), dtype=np.uint8)
     for k, frame in enumerate(stack.reshape(len(stack), geometry.height * geometry.width)):
-        lo, hi = bounds[k], bounds[k + 1]
-        # Per-window flat index: its temporaries are one window long.
-        index = y[lo:hi].astype(np.intp)
+        window = events[bounds[k] : bounds[k + 1]]
+        index = window["y"].astype(np.intp)
         index *= geometry.width
-        index += x[lo:hi]
+        index += window["x"]
         frame[index] = 1
     return stack
 
@@ -207,6 +200,4 @@ def accumulate_frame(
     geometry = SensorGeometry(*geometry).validate()
     ev = window.events if isinstance(window, EventWindow) else as_event_array(window)
     _check_bounds(ev, geometry)
-    frame = np.zeros(geometry.shape, dtype=np.uint8)
-    frame[ev["y"], ev["x"]] = 1
-    return frame
+    return _paint(ev, (0, len(ev)), geometry)[0]

@@ -33,13 +33,13 @@ def make_feathered_kernel(radius: int, sigma: float) -> Kernel:
     Weight at cell (i, j) is exp(-d^2 / (2 sigma^2)) where d is the distance
     from the cell center (i + 0.5, j + 0.5) to the matrix center (radius,
     radius); cells with d > radius are zeroed, then the grid is divided by
-    its sum. Raises ParameterError when that sum is zero or not finite (the
-    Gaussian underflows at every cell, or sigma is NaN).
+    its sum. Raises ParameterError for a sigma that is not finite and > 0,
+    and when that sum is zero (the Gaussian underflows at every cell).
     """
     if not isinstance(radius, (int, np.integer)) or radius < 1:
         raise ParameterError(f"kernel radius must be a positive integer, got {radius!r}")
-    if sigma <= 0:
-        raise ParameterError(f"kernel sigma must be > 0, got {sigma!r}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ParameterError(f"kernel sigma must be finite and > 0, got {sigma!r}")
     n = 2 * radius
     offsets = np.arange(n) + 0.5 - radius  # cell-center offsets from the matrix center
     dy, dx = np.meshgrid(offsets, offsets, indexing="ij")

@@ -11,7 +11,7 @@ Frames whose masked ground truth is empty carry no signal and are skipped
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Sequence
 
 import numpy as np

@@ -14,8 +14,7 @@ never depend on camera velocity or noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,14 +15,12 @@ point alpha=0.13 (test_working_point_regression).
 """
 
 import json
-import math
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import BR1_CONFIG, BR3_CONFIG, pipeline_inputs
 from oms import (
     OmsParams,
     detection,

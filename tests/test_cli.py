@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oms import engine
@@ -148,6 +148,9 @@ class TestRun:
         ({"threads": True}, []),
         ({}, ["--threads", "abc"]),
         ({}, ["--threads", "0"]),
+        ({"sigma_c": float("inf")}, []),
+        ({"sigma_s": float("nan")}, []),
+        ({}, ["--sigma-s", "inf"]),
     ])
     def test_bad_config_or_threads_exit_2(self, dataset, tmp_path, config, flags):
         manifest_path, _ = dataset
@@ -337,6 +340,8 @@ class TestCliFuzz:
     @settings(max_examples=60, deadline=None)
     @given(config=FUZZ_CONFIGS, threads=FUZZ_THREADS, bench_threads=FUZZ_THREADS,
            flags=FUZZ_FLAGS, verbose=st.booleans())
+    @example(config={"sigma_c": float("inf")}, threads=None, bench_threads=None, flags={},
+             verbose=False)
     def test_run_eval_bench(self, dataset, config, threads, bench_threads, flags, verbose):
         manifest_path, _ = dataset
         args = [a for kv in flags.items() for a in kv]
@@ -380,6 +385,7 @@ class TestKernelDump:
         grid = [[float(v) for v in line.split()] for line in result.output.strip().splitlines()]
         assert len(grid) == 4 and all(len(r) == 4 for r in grid)
         assert abs(sum(sum(r) for r in grid) - 1.0) < 1e-9
+        assert run_cli("kernel-dump", "--radius", 2, "--sigma", "inf").exit_code == 2
 
 
 class TestThreads:

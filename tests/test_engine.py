@@ -68,6 +68,14 @@ class TestOmsParams:
         with pytest.raises(ParameterError):
             OmsParams(r1=3, r2=3)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("inf"), float("nan")])
+    def test_sigma_finite_and_positive(self, sigma):
+        # Checked before any kernel is built, so a run with no frames
+        # cannot record it either.
+        for name in ("sigma_c", "sigma_s"):
+            with pytest.raises(ParameterError, match=name):
+                OmsParams(**{name: sigma})
+
     def test_radius_checked_against_frame_before_kernels(self, monkeypatch):
         # r2 = 10**9 would ask for a 2e9 x 2e9 surround grid.
         def refuse(radius, sigma):
@@ -291,6 +299,20 @@ def scoring_cases(draw):
     return params, frames
 
 
+def nearest_cell_fill(cells, shape, r, s):
+    """Pixel (y, x) of the valid region r .. H - r takes the cell nearest
+    its lattice point, ((y - r + s // 2) // s clipped to the grid); the
+    border is 0."""
+    h, w = shape
+    full = np.zeros(shape, np.uint8)
+    for y in range(r, h - r + 1):
+        for x in range(r, w - r + 1):
+            i = min((y - r + s // 2) // s, cells.shape[0] - 1)
+            j = min((x - r + s // 2) // s, cells.shape[1] - 1)
+            full[y, x] = cells[i, j]
+    return full
+
+
 def reached_alphas(scores, data):
     """0.0, one score value the frame reaches and its float64 neighbours,
     all inside OmsParams' [0, 1]."""
@@ -302,7 +324,9 @@ def reached_alphas(scores, data):
 class TestInt16Band:
     """oms_frame decides dense spikes on an int16 score S and runs the float
     step only on the band where S cannot decide; every mask must equal the
-    float score thresholded, bit for bit, even at a reached score value."""
+    float score thresholded, bit for bit, even at a reached score value. A
+    strided mask must be the nearest-cell fill of the strided score
+    thresholded."""
 
     @settings(max_examples=60, deadline=None)
     @given(scoring_cases(), st.data())
@@ -321,6 +345,10 @@ class TestInt16Band:
             seq = [oms_sequence(frames, p, threads=t) for t in (1, 2)]
             assert all(np.array_equal(a, b) for a, b in zip(*seq))
             assert np.array_equal(seq[0][0], mask)
+            strided = replace(p, mode="strided", s_s=data.draw(st.integers(1, 3)))
+            cells = oms_scores(frame, strided, center, surround) > alpha
+            want = nearest_cell_fill(cells, frame.shape, max(params.r1, params.r2), strided.s_s)
+            assert np.array_equal(oms_frame(frame, strided, center, surround), want)
 
     def test_large_tap_group_does_not_wrap(self):
         # A flat 20x20 surround puts 384 equal taps in one group: its count
@@ -382,6 +410,8 @@ class TestBinaryFrameContract:
         frame = np.zeros((32, 32), dtype)
         frame[16, 16] = value
         params = OmsParams(mode=mode)
+        with pytest.raises(ValidationError):
+            filter_frame(frame, make_feathered_kernel(2, 1.0), stride=2, mode=mode)
         with pytest.raises(ValidationError):
             oms_scores(frame, params)
         with pytest.raises(ValidationError):
@@ -494,12 +524,7 @@ class TestStridedView:
         mask = oms_frame(frame, params)
         assert cells.any()
         r = params.r2
-        for y in range(64):
-            for x in range(80):
-                inside = r <= y <= 64 - r and r <= x <= 80 - r
-                i = min((y - r + s // 2) // s, cells.shape[0] - 1)
-                j = min((x - r + s // 2) // s, cells.shape[1] - 1)
-                assert mask[y, x] == (inside and cells[i, j])
+        assert np.array_equal(mask, nearest_cell_fill(cells, mask.shape, r, s))
 
 
 class TestOmsSequence:

@@ -119,8 +119,21 @@ class TestAccumulateFrame:
         )
 
 
+def scanned_stack(events, mask_timestamps, geometry):
+    """Oracle for bin_events and accumulate_frame, in pure Python: each event
+    goes to window k when t_{k-1} < t <= t_k, with t_{-1} = -1."""
+    edges = [-1, *mask_timestamps]
+    stack = np.zeros((len(mask_timestamps), geometry.height, geometry.width), np.uint8)
+    for t, x, y, _ in as_event_array(events).tolist():
+        for k in range(len(mask_timestamps)):
+            if edges[k] < t <= edges[k + 1]:
+                stack[k, y, x] = 1
+    return stack
+
+
 def windowed_stack(events, mask_timestamps, geometry):
-    """Oracle for bin_events: window_events, then accumulate_frame per window."""
+    """bin_events' per-window counterpart: window_events, then
+    accumulate_frame per window."""
     frames = [accumulate_frame(w, geometry) for w in window_events(events, mask_timestamps)]
     if not frames:
         return np.zeros((0, geometry.height, geometry.width), np.uint8)
@@ -136,6 +149,7 @@ class TestBinEvents:
         stack = bin_events(events, timestamps, config.geometry)
         assert stack.dtype == np.uint8
         assert stack.shape == (len(timestamps), *config.geometry.shape)
+        assert np.array_equal(stack, scanned_stack(events, timestamps, config.geometry))
         assert np.array_equal(stack, windowed_stack(events, timestamps, config.geometry))
 
     @given(
@@ -156,12 +170,15 @@ class TestBinEvents:
         bounds = sorted(bounds)
         stack = bin_events(ev, bounds, self.GEOM)
         assert stack.shape == (len(bounds), 5, 7) and stack.dtype == np.uint8
+        assert np.array_equal(stack, scanned_stack(ev, bounds, self.GEOM))
         assert np.array_equal(stack, windowed_stack(ev, bounds, self.GEOM))
 
     def test_out_of_bounds_after_last_timestamp_dropped(self):
         ev = make_events([1, 2, 30], xs=[1, 2, 99], ys=[0, 4, 99])
         assert np.array_equal(bin_events(ev, [10], self.GEOM),
-                              windowed_stack(ev, [10], self.GEOM))
+                              scanned_stack(ev, [10], self.GEOM))
+        assert np.array_equal(windowed_stack(ev, [10], self.GEOM),
+                              scanned_stack(ev, [10], self.GEOM))
 
     @pytest.mark.parametrize("events, timestamps", [
         (make_events([5, 3, 10]), [100]),                           # unsorted

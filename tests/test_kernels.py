@@ -71,10 +71,11 @@ def test_invalid_parameters():
         make_feathered_kernel(2, -1.0)
 
 
-@pytest.mark.parametrize("radius, sigma", [(4, 1e-3), (2, float("nan"))])
+@pytest.mark.parametrize("radius, sigma", [(4, 1e-3), (2, float("nan")), (2, float("inf"))])
 def test_weights_that_cannot_be_normalized(radius, sigma):
     # The Gaussian underflows to 0 at every cell (or is NaN): dividing by
-    # its sum would give NaN weights.
+    # its sum would give NaN weights. An infinite sigma would give a flat
+    # disk, which is no Gaussian.
     with pytest.raises(ParameterError):
         make_feathered_kernel(radius, sigma)
 

@@ -6,9 +6,7 @@ from oms import (
     SceneConfig,
     SceneObject,
     SensorGeometry,
-    accumulate_frame,
     scene_br,
-    window_events,
 )
 from oms.synthetic import generate_scene, render_frames
 
