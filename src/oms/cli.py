@@ -30,7 +30,7 @@ from .dataset_io import (
     write_mask,
 )
 from .engine import OmsParams, _kernels_for, oms_frame, oms_sequence
-from .errors import OmsError, ParameterError, ParseError
+from .errors import OmsError, ParseError
 from .events import bin_events
 from .kernels import kernel_to_text, make_feathered_kernel
 from .metrics import evaluate_sequence
@@ -90,28 +90,16 @@ def param_options(f):
     return f
 
 
-# Accepted JSON types of each pipeline parameter; bool is never a number.
-_PARAM_TYPES = {"r1": (int,), "r2": (int,), "stride": (int,), "alpha": (int, float),
-                "mode": (str,), "sigma_c": (int, float), "sigma_s": (int, float)}
-
-
 def resolve_params(config_doc: dict, **flags) -> OmsParams:
-    """Flags override config-file values override built-in defaults. A config
-    document that is not an object raises ParseError, a value of the wrong
-    type ParameterError."""
+    """Flags override config-file values override defaults, and OmsParams checks
+    them; a config document that is not an object raises ParseError."""
     if not isinstance(config_doc, dict):
         raise ParseError(f"run config must be a JSON object, got {type(config_doc).__name__}")
     merged = {}
-    for key, types in _PARAM_TYPES.items():
-        value = flags.get(key)
-        if value is None:
-            value = config_doc.get(key)
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ParameterError(f"{key} must be {' or '.join(t.__name__ for t in types)}, "
-                                 f"got {value!r}")
-        merged["s_s" if key == "stride" else key] = value
+    for key, flag in flags.items():
+        value = config_doc.get(key) if flag is None else flag
+        if value is not None:
+            merged["s_s" if key == "stride" else key] = value
     return OmsParams(**merged)
 
 
@@ -127,14 +115,6 @@ def _resolve_threads(threads) -> int:
     return n
 
 
-def _load_manifest(manifest_path: str) -> DatasetManifest:
-    path = Path(manifest_path)
-    if not path.exists():
-        click.echo("error: manifest not found", err=True)
-        sys.exit(2)
-    return DatasetManifest.load(path)
-
-
 def build_frames(manifest_path, timings: dict | None = None):
     """(manifest, (T, H, W) uint8 stack of binary frames) for a dataset.
 
@@ -143,7 +123,7 @@ def build_frames(manifest_path, timings: dict | None = None):
     """
     timings = {} if timings is None else timings
     with _timed(timings, "load"):
-        manifest = _load_manifest(manifest_path)
+        manifest = DatasetManifest.load(manifest_path)
         event_path, _ = manifest.resolve(Path(manifest_path).parent)
         events = read_events(event_path)
     with _timed(timings, "bin"):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _check_number
 from .events import _T_MAX, EVENT_DTYPE, SensorGeometry, as_event_array
 from .events import _check_bounds, _check_order_and_polarity
 
@@ -72,8 +73,10 @@ def event_file_geometry(path) -> SensorGeometry:
         head = f.read(HEADER_SIZE)
     if head[:4] != MAGIC or len(head) < HEADER_SIZE:
         raise ParseError(f"{path}: not a native event file")
-    w, h = struct.unpack("<HH", head[4:8])
-    return SensorGeometry(w, h)
+    try:
+        return SensorGeometry(*struct.unpack("<HH", head[4:8])).validate()
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _parse_native(f, head: bytes, path: Path) -> np.ndarray:
@@ -153,43 +156,29 @@ def _write_pgm(pixels: np.ndarray, path) -> None:
     Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
 
 
+# Magic, width, height and maxval, separated by whitespace and by comments
+# that run from "#" through their newline, then one whitespace byte. Each
+# byte can be read only one way, so a match takes linear time.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
+
+
 def read_mask(path, geometry: SensorGeometry | None = None) -> np.ndarray:
     """Read a binary PGM into a {0,1} uint8 mask (any nonzero byte -> 1)."""
     path = Path(path)
     data = path.read_bytes()
     if data[:2] != b"P5":
         raise ParseError(f"{path}: not a binary PGM (P5) file")
-    # Header: magic, width, height, maxval as whitespace-separated tokens,
-    # with optional '#' comment lines.
-    tokens: list[bytes] = []
-    i = 2
-    while len(tokens) < 3 and i < len(data):
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    if len(tokens) < 3:
-        raise ParseError(f"{path}: truncated PGM header")
-    i += 1  # single whitespace byte after maxval
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise ParseError(f"{path}: malformed PGM header: {exc}") from exc
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ParseError(f"{path}: malformed or truncated PGM header")
+    w, h, maxval = (int(t) for t in header.groups())
     if w < 1 or h < 1:
         raise ParseError(f"{path}: PGM size {w}x{h} is not at least 1x1")
     if maxval > 255:
         raise ParseError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
-    if len(data) - i < w * h:
+    if len(data) - header.end() < w * h:
         raise ParseError(f"{path}: truncated pixel data at byte offset {len(data)}")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=i, count=w * h).reshape(h, w)
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=header.end(), count=w * h).reshape(h, w)
     if geometry is not None and (w, h) != (geometry.width, geometry.height):
         raise ParseError(f"{path}: mask is {w}x{h}, manifest geometry is "
                          f"{geometry.width}x{geometry.height}")
@@ -213,7 +202,8 @@ class DatasetManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "geometry", SensorGeometry(*self.geometry).validate())
-        ts = tuple(int(t) for t in self.mask_timestamps)
+        ts = tuple(int(_check_number(ValidationError, "mask timestamp", t, True, -(2**63), 2**63 - 1))
+                   for t in self.mask_timestamps)
         object.__setattr__(self, "mask_timestamps", ts)
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValidationError("mask timestamps must be strictly increasing")
@@ -233,41 +223,34 @@ class DatasetManifest:
         path = Path(path)
         try:
             doc = json.loads(path.read_bytes().decode("utf-8"))
+        except FileNotFoundError as exc:
+            raise ParseError(f"{path}: manifest not found") from exc
         except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
             raise ParseError(f"{path}: invalid manifest JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError(f"{path}: manifest must be a JSON object")
         try:
-            geometry = doc["geometry"]
-            if not isinstance(geometry, dict):
-                raise ParseError(f"{path}: geometry must be an object")
-            width, height = (_manifest_int(path, f"geometry.{k}", geometry[k], 1, 0xFFFF)
-                             for k in ("width", "height"))
-            timestamps = doc["mask_timestamps"]
-            if not isinstance(timestamps, list):
-                raise ParseError(f"{path}: mask_timestamps must be a list")
-            timestamps = tuple(_manifest_int(path, "mask_timestamps", t, -(2**63), 2**63 - 1)
-                               for t in timestamps)
+            geometry, timestamps = doc["geometry"], doc["mask_timestamps"]
             strings = {k: doc[k] for k in ("event_file", "mask_dir")}
             strings["source"] = doc.get("source", "native")
+            if not isinstance(geometry, dict):
+                raise ParseError(f"{path}: geometry must be an object")
+            if not isinstance(timestamps, list):
+                raise ParseError(f"{path}: mask_timestamps must be a list")
+            for key, value in strings.items():
+                if not isinstance(value, str):
+                    raise ParseError(f"{path}: {key} must be a string")
+            return cls(SensorGeometry(geometry["width"], geometry["height"]),
+                       mask_timestamps=timestamps, **strings)
         except KeyError as exc:
             raise ParseError(f"{path}: manifest missing field {exc}") from exc
-        for key, value in strings.items():
-            if not isinstance(value, str):
-                raise ParseError(f"{path}: {key} must be a string")
-        return cls(geometry=SensorGeometry(width, height), mask_timestamps=timestamps, **strings)
+        except ValidationError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
     def resolve(self, base) -> tuple[Path, Path]:
         """Event file and mask dir paths, relative to the manifest location."""
         base = Path(base)
         return base / self.event_file, base / self.mask_dir
-
-
-def _manifest_int(path: Path, key: str, value, lo: int, hi: int) -> int:
-    """A manifest integer in [lo, hi] (width and height are u16 in event files)."""
-    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
-        raise ParseError(f"{path}: {key} must be an integer in [{lo}, {hi}], got {value!r}")
-    return value
 
 
 def write_dataset(
@@ -430,7 +413,8 @@ def _read_meta_geometry(src: Path, default: SensorGeometry) -> SensorGeometry:
         doc = json.loads(meta.read_bytes().decode("utf-8"))
         if not isinstance(doc, dict):
             raise ParseError(f"{meta}: meta file must be a JSON object")
-        return SensorGeometry(*(_manifest_int(meta, k, doc[k], 1, 0xFFFF)
-                                for k in ("width", "height")))
+        return SensorGeometry(doc["width"], doc["height"]).validate()
     except (ValueError, KeyError) as exc:  # ValueError: UnicodeDecodeError, JSONDecodeError
         raise ParseError(f"{meta}: malformed meta file: {exc}") from exc
+    except ValidationError as exc:
+        raise ParseError(f"{meta}: {exc}") from exc

@@ -23,7 +23,9 @@ Two filtering modes are provided:
   |corr - S 2^-k| <= sum |v_g - V_g 2^-k| |g| < E, whose slack covers float64
   rounding: |S| > ceil((alpha + E) 2^k) spikes, |S| < floor((alpha - E) 2^k)
   does not, and only the band between runs the float step, on its gathered
-  counts. Each mask is bitwise oms_scores > alpha.
+  counts. When alpha < E the band starts at 0, so it drops the positions
+  whose counts are all 0: they score exactly 0. Each mask is bitwise
+  oms_scores > alpha.
 * strided: the dense score's valid region (positions R .. H - R, R the
   larger radius, where both windows lie inside the frame) sampled every s_s
   positions, so cell (i, j) is dense position (R + s_s*i, R + s_s*j).
@@ -51,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, _check_number
 from .kernels import Kernel, difference_kernel, make_feathered_kernel
 
 log = logging.getLogger("oms")
@@ -73,19 +75,16 @@ class OmsParams:
     mode: str = "dense"
 
     def __post_init__(self):
-        if self.r1 < 1 or self.r2 < 1:
-            raise ParameterError("radii must be >= 1")
+        for name in ("r1", "r2", "s_s"):
+            _check_number(ParameterError, name, getattr(self, name), True, 1, math.inf)
         if self.r1 >= self.r2:
             raise ParameterError(f"center radius must be < surround radius (r1={self.r1}, r2={self.r2})")
-        if self.s_s < 1:
-            raise ParameterError(f"surround stride must be >= 1, got {self.s_s}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
+        _check_number(ParameterError, "alpha", self.alpha, False, 0, 1)
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name, sigma in (("sigma_c", self.sigma_c), ("sigma_s", self.sigma_s)):
-            if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
-                raise ParameterError(f"{name} must be finite and > 0, got {sigma!r}")
+            if sigma is not None:
+                _check_number(ParameterError, name, sigma, False, 0, math.inf, open=True)
 
     @property
     def center_sigma(self) -> float:
@@ -161,8 +160,8 @@ def filter_frame(
     frame = _check_binary_frame(frame)
     if mode not in MODES:
         raise ParameterError(f"unknown filter mode {mode!r}")
-    if mode == "strided" and stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
+    if mode == "strided":
+        _check_number(ParameterError, "stride", stride, True, 1, math.inf)
     corr = _corr(frame, Kernel(1, 0.0, np.zeros((2, 2))), kernel)
     return corr if mode == "dense" else corr[_lattice(kernel.radius, stride, *frame.shape)]
 
@@ -287,7 +286,10 @@ def oms_frame(
     lo = min(max(math.floor((params.alpha - err) * 2.0**k), 0), hi)
     mask = np.abs(score, out=score) > hi
     score -= lo  # lo <= |S| <= hi as one unsigned compare
-    band = np.flatnonzero(score.view(np.uint16) <= hi - lo)
+    band = score.view(np.uint16) <= hi - lo
+    if lo == 0:  # alpha < E: a position whose counts are all 0 scores 0 and cannot spike
+        band &= functools.reduce(np.logical_or, counts[1:], counts[0] != 0)
+    band = np.flatnonzero(band)
     mask[band] = np.abs(_float_corr(groups, counts, band)) > params.alpha
     mask = mask.view(np.uint8).reshape(h, -1)[:, :w]
     if params.mode == "dense":

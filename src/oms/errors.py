@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one rule for
+numeric fields."""
+
+import numpy as np
 
 
 class OmsError(Exception):
@@ -16,3 +19,14 @@ class ParameterError(OmsError):
 class ParseError(OmsError):
     """A file could not be decoded; the message carries a byte offset when known."""
 
+
+def _check_number(error: type, name: str, value, integral: bool, lo, hi, open: bool = False):
+    """`value` unchanged if it is a number (an integer if `integral`) in
+    [lo, hi], or in (lo, hi) if `open`; else raises `error`. Bool is never a
+    number, numpy scalars are, and NaN lies in no interval."""
+    kinds = (int, np.integer) if integral else (int, float, np.integer, np.floating)
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or not (lo < value < hi if open else lo <= value <= hi)):
+        raise error(f"{name} must be {'an integer' if integral else 'a number'} in "
+                    f"{'(' if open else '['}{lo}, {hi}{')' if open else ']'}, got {value!r}")
+    return value

@@ -20,13 +20,15 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_number
 
 # 13 bytes packed, little-endian: matches the on-disk record layout exactly.
 EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
 assert EVENT_DTYPE.itemsize == 13
 # Largest timestamp a stream may hold: windows are cut on int64 time.
 _T_MAX = int(np.iinfo(np.int64).max)
+# Largest sensor width or height: both are u16 in the event file header.
+_MAX_SIDE = 0xFFFF
 
 
 class SensorGeometry(NamedTuple):
@@ -34,8 +36,9 @@ class SensorGeometry(NamedTuple):
     height: int
 
     def validate(self) -> "SensorGeometry":
-        if self.width < 1 or self.height < 1:
-            raise ValidationError(f"sensor geometry must be >= 1x1, got {self}")
+        """self, once width and height are integers in [1, _MAX_SIDE]."""
+        for name, value in zip(self._fields, self):
+            _check_number(ValidationError, name, value, True, 1, _MAX_SIDE)
         return self
 
     @property

@@ -9,11 +9,12 @@ sampled at (i + 0.5, j + 0.5); this keeps exact 4-fold symmetry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_number
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,8 @@ def make_feathered_kernel(radius: int, sigma: float) -> Kernel:
     its sum. Raises ParameterError for a sigma that is not finite and > 0,
     and when that sum is zero (the Gaussian underflows at every cell).
     """
-    if not isinstance(radius, (int, np.integer)) or radius < 1:
-        raise ParameterError(f"kernel radius must be a positive integer, got {radius!r}")
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ParameterError(f"kernel sigma must be finite and > 0, got {sigma!r}")
+    _check_number(ParameterError, "kernel radius", radius, True, 1, math.inf)
+    _check_number(ParameterError, "kernel sigma", sigma, False, 0, math.inf, open=True)
     n = 2 * radius
     offsets = np.arange(n) + 0.5 - radius  # cell-center offsets from the matrix center
     dy, dx = np.meshgrid(offsets, offsets, indexing="ij")

@@ -14,12 +14,13 @@ never depend on camera velocity or noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError
-from .events import EVENT_DTYPE, SensorGeometry, bin_events
+from .errors import ParameterError, ParseError, _check_number
+from .events import _MAX_SIDE, EVENT_DTYPE, SensorGeometry, bin_events
 from .metrics import bf_ratio
 
 FRAME_DT_US = 1000
@@ -41,8 +42,17 @@ class SceneObject:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ParameterError(f"object shape must be one of {SHAPES}, got {self.shape!r}")
-        if self.size < 1:
-            raise ParameterError(f"object size must be >= 1, got {self.size}")
+        _check_number(ParameterError, "object size", self.size, True, 1, math.inf)
+        object.__setattr__(self, "velocity", _pair("object velocity", self.velocity, -_MAX_SIDE))
+        object.__setattr__(self, "start", _pair("object start", self.start, 0))
+
+
+def _pair(name: str, value, lo) -> tuple:
+    """value as an (x, y) tuple of two numbers in [lo, 65535]."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise ParameterError(f"{name} must be an (x, y) pair, got {value!r}")
+    return tuple(_check_number(ParameterError, f"{name} {axis}", v, False, lo, _MAX_SIDE)
+                 for axis, v in zip("xy", value))
 
 
 @dataclass(frozen=True)
@@ -58,13 +68,14 @@ class SceneConfig:
     def __post_init__(self):
         object.__setattr__(self, "geometry", SensorGeometry(*self.geometry).validate())
         object.__setattr__(self, "objects", tuple(self.objects))
-        if self.n_frames < 2:
-            raise ParameterError(f"need at least 2 frames, got {self.n_frames}")
-        if not 0.0 < self.bg_density < 1.0:
-            raise ParameterError(f"bg_density must lie in (0, 1), got {self.bg_density}")
-        if self.noise_rate < 0:
-            raise ParameterError("noise_rate must be >= 0")
+        object.__setattr__(self, "camera_velocity",
+                           _pair("camera_velocity", self.camera_velocity, -_MAX_SIDE))
         w, h = self.geometry.width, self.geometry.height
+        _check_number(ParameterError, "n_frames", self.n_frames, True, 2, math.inf)
+        _check_number(ParameterError, "bg_density", self.bg_density, False, 0, 1, open=True)
+        # noise_rate is the mean count of noise events per frame: at most one per pixel
+        _check_number(ParameterError, "noise_rate", self.noise_rate, False, 0, w * h)
+        _check_number(ParameterError, "seed", self.seed, True, 0, math.inf)
         for obj in self.objects:
             x, y = obj.start
             if not (0 <= x < w and 0 <= y < h):
@@ -93,27 +104,32 @@ class SceneConfig:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SceneConfig":
+    def from_dict(cls, d) -> "SceneConfig":
+        """ParseError names a missing field or a part of the wrong JSON type."""
         try:
+            geometry = _json("geometry", _json("scene config", d)["geometry"])
             return cls(
-                geometry=SensorGeometry(d["geometry"]["width"], d["geometry"]["height"]),
+                geometry=SensorGeometry(geometry["width"], geometry["height"]),
                 n_frames=d["n_frames"],
                 bg_density=d["bg_density"],
-                camera_velocity=tuple(d["camera_velocity"]),
+                camera_velocity=d["camera_velocity"],
                 objects=tuple(
-                    SceneObject(
-                        shape=o["shape"],
-                        size=o["size"],
-                        velocity=tuple(o["velocity"]),
-                        start=tuple(o["start"]),
-                    )
-                    for o in d["objects"]
+                    SceneObject(**{k: _json("object", o)[k]
+                                   for k in ("shape", "size", "velocity", "start")})
+                    for o in _json("objects", d["objects"], list)
                 ),
                 noise_rate=d.get("noise_rate", 0.0),
                 seed=d.get("seed", 0),
             )
         except KeyError as exc:
             raise ParseError(f"scene config missing field {exc}") from exc
+
+
+def _json(what: str, doc, kind: type = dict):
+    if not isinstance(doc, kind):
+        raise ParseError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
+                         f"got {type(doc).__name__}")
+    return doc
 
 
 def _object_footprint(obj: SceneObject, frame_index: int, shape: tuple[int, int]) -> np.ndarray:

@@ -333,9 +333,58 @@ FUZZ_FLAGS = st.fixed_dictionaries({}, optional={
 })
 
 
+def seldom(valid, junk):
+    """valid in about nine draws of ten, junk in the rest: a scene has a
+    dozen fields, so most scenes still get past validation."""
+    return st.integers(0, 9).flatmap(lambda i: junk if i == 9 else valid)
+
+
+def junk_at_most(n):
+    """FUZZ_JUNK with no integer above n, so no draw allocates much."""
+    return FUZZ_JUNK.filter(lambda v: not isinstance(v, int) or v <= n)
+
+
+def fuzz_pair(lo, hi):
+    return seldom(st.lists(st.floats(lo, hi), min_size=2, max_size=2), FUZZ_JUNK)
+
+
+# Frames stay small: the width is at most 64 (or invalid), the height at
+# most 8 and n_frames at most 4.
+FUZZ_OBJECTS = seldom(st.lists(seldom(st.fixed_dictionaries({
+    "shape": seldom(st.sampled_from(["disk", "rect"]), FUZZ_JUNK),
+    "size": seldom(st.integers(1, 3), FUZZ_JUNK),
+    "velocity": fuzz_pair(-2, 2),
+    "start": fuzz_pair(0, 7),
+}), FUZZ_JUNK), max_size=2), FUZZ_JUNK)
+FUZZ_SCENES = seldom(st.fixed_dictionaries({
+    "geometry": seldom(st.fixed_dictionaries({
+        "width": seldom(st.integers(8, 64), FUZZ_JUNK | st.just(65536)),
+        "height": seldom(st.integers(6, 8), junk_at_most(8)),
+    }), FUZZ_JUNK),
+    "n_frames": seldom(st.integers(2, 4), junk_at_most(4)),
+    "bg_density": seldom(st.floats(0.01, 0.5), FUZZ_JUNK),
+    "camera_velocity": fuzz_pair(-2, 2),
+    "objects": FUZZ_OBJECTS,
+}, optional={
+    "noise_rate": seldom(st.floats(0, 3), FUZZ_JUNK),
+    "seed": seldom(st.integers(0, 2**32), FUZZ_JUNK),
+    "other": FUZZ_JUNK,
+}), FUZZ_JUNK)
+
+
+def scene_doc(**changes):
+    """A valid small scene with top-level fields replaced."""
+    doc = {"geometry": {"width": 16, "height": 8}, "n_frames": 3, "bg_density": 0.1,
+           "camera_velocity": [1.0, 0.0],
+           "objects": [{"shape": "rect", "size": 3, "velocity": [1.0, 0.0], "start": [2, 4]}],
+           "noise_rate": 0.5, "seed": 1}
+    return {**doc, **changes}
+
+
 class TestCliFuzz:
     """run, eval and bench exit 0 or 2 on any config, thread count, alpha
-    and radii, and never print or write a NaN."""
+    and radii, and never print or write a NaN; synth exits 0 or 2 on any
+    scene config."""
 
     @settings(max_examples=60, deadline=None)
     @given(config=FUZZ_CONFIGS, threads=FUZZ_THREADS, bench_threads=FUZZ_THREADS,
@@ -376,6 +425,25 @@ class TestCliFuzz:
         for result in results:
             assert result.exit_code in (0, 2), result.output
             assert "NaN" not in result.output and "Infinity" not in result.output
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=FUZZ_SCENES)
+    @example(doc=scene_doc(geometry={"width": 70000, "height": 8}))
+    @example(doc=scene_doc(geometry={"width": "a", "height": 4}))
+    @example(doc=[1, 2])
+    @example(doc=scene_doc(camera_velocity=[1]))
+    @example(doc=scene_doc(seed=-1))
+    @example(doc=scene_doc(noise_rate="x"))
+    @example(doc=scene_doc(n_frames=3.5))
+    def test_synth(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            scene = Path(tmp) / "scene.json"
+            scene.write_text(json.dumps(doc))
+            result = run_cli("synth", scene, "--out", Path(tmp) / "ds")
+            if result.exit_code == 0:
+                DatasetManifest.load(Path(tmp) / "ds" / "manifest.json")
+        assert result.exit_code in (0, 2), result.output
+        assert "internal error" not in result.output
 
 
 class TestKernelDump:

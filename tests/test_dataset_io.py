@@ -1,5 +1,6 @@
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -52,6 +53,12 @@ class TestEventFiles:
         write_events(ev, GEOM, path)
         assert np.array_equal(read_events(path), ev)
         assert event_file_geometry(path) == GEOM
+
+    def test_zero_width_header_geometry(self, tmp_path):
+        path = tmp_path / "zero.evt"
+        path.write_bytes(b"EVT1" + struct.pack("<HH", 0, 10) + b"\x00" * 8)
+        with pytest.raises(ParseError, match=r"zero.evt: width must be an integer in \[1, 65535\], got 0$"):
+            event_file_geometry(path)
 
     def test_hand_built_record(self, tmp_path):
         header = b"EVT1" + struct.pack("<HH", 10, 10) + b"\x00" * 8
@@ -170,6 +177,37 @@ class TestMaskFiles:
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
         with pytest.raises(ParseError):
             read_mask(path)
+
+    def test_comments_between_every_token(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5#magic\n 2# width\n#alone\n\t2 # height\n255\n" + bytes([0, 9, 255, 0]))
+        assert np.array_equal(read_mask(path), [[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("data, match", [
+        (b"P6\n2 2\n255\n" + bytes(4), "not a binary PGM"),
+        (b"P5\n2 2", "truncated PGM header"),
+        (b"P5\n2 x\n255\n" + bytes(4), "malformed"),
+        (b"P5\n2 #no newline", "truncated PGM header"),
+        (b"P5\n0 2\n255\n", "not at least 1x1"),
+        (b"P5\n2 2\n256\n" + bytes(8), "maxval 256"),
+        (b"P5\n2 2\n255\n" + bytes(3), "truncated pixel data"),
+    ])
+    def test_bad_header_or_pixels(self, tmp_path, data, match):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=match):
+            read_mask(path)
+
+    @pytest.mark.parametrize("data", [
+        b"P5" + b"#" * 100_000, b"P5 2" + b" #" * 50_000, b"P5\n" + b"#\n" * 50_000,
+    ])
+    def test_long_comment_fails_promptly(self, tmp_path, data):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(data)
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="truncated PGM header"):
+            read_mask(path)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestManifest:

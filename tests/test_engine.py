@@ -232,6 +232,19 @@ class TestTapGroupCache:
         scores = oms_scores(frame, OmsParams(), center, center)
         assert scores.shape == (9, 10) and not scores.any()
 
+    def test_one_tap_group_below_e(self, rng):
+        # alpha = 0 < E puts the band at 0, where a D of one distinct value
+        # (one count array, holding counts above 1) must still mark every
+        # nonzero count as a band position.
+        center = make_feathered_kernel(3, 1.5)
+        frame = np.ones((9, 10), np.uint8)
+        assert not oms_frame(frame, OmsParams(alpha=0.0), center, center).any()
+        quarter, half = (Kernel(1, 0.0, np.full((2, 2), v)) for v in (0.25, 0.5))
+        frame = (rng.random((12, 15)) < 0.5).astype(np.uint8)
+        mask = oms_frame(frame, OmsParams(alpha=0.0), quarter, half)
+        assert np.array_equal(mask, oms_scores(frame, OmsParams(alpha=0.0), quarter, half) > 0)
+        assert mask.any()
+
     def test_threaded_mixed_calls(self, rng):
         cases = []
         for params, w in [(OmsParams(alpha=0.13), 31), (OmsParams(alpha=0.13, sigma_c=0.7), 31),
@@ -398,6 +411,29 @@ class TestInt16Band:
         monkeypatch.undo()
         for frame, mask in zip(frames, masks):
             assert np.array_equal(mask, oms_scores(frame, params) > params.alpha)
+
+    def test_float_step_skips_zero_count_positions_below_e(self, monkeypatch, br1_data):
+        # At alpha = 0 < E the band starts at |S| = 0. A position whose tap
+        # counts are all 0 scores exactly 0, so only the nonzero-count support
+        # (about 15% of BR1 positions) may run the float step.
+        positions = []
+
+        def recording(groups, counts, at=slice(None)):
+            positions.append(len(at))
+            return float_corr(groups, counts, at)
+
+        float_corr = engine._float_corr
+        monkeypatch.setattr(engine, "_float_corr", recording)
+        params = OmsParams(alpha=0.0)
+        frames, _ = br1_data
+        masks = oms_sequence(frames, params)
+        monkeypatch.undo()
+        center, surround = params.make_kernels()
+        for frame, mask, n in zip(frames, masks, positions, strict=True):
+            *_, counts = engine._tap_counts(frame, center, surround)
+            support = np.count_nonzero(sum(c.astype(np.int64) for c in counts))
+            assert n <= support < 0.2 * counts[0].size
+            assert np.array_equal(mask, oms_scores(frame, params) > 0)
 
 
 class TestBinaryFrameContract:
