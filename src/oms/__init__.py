@@ -17,7 +17,6 @@ from .errors import OmsError, ParameterError, ParseError, ValidationError
 from .events import (
     EVENT_DTYPE,
     Event,
-    EventWindow,
     SensorGeometry,
     accumulate_frame,
     as_event_array,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EVENT_DTYPE",
     "Event",
-    "EventWindow",
     "FrameScore",
     "Kernel",
     "OmsError",

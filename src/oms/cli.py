@@ -1,7 +1,8 @@
 """Command-line front end: run the pipeline, evaluate, synthesize data,
 benchmark, and dump kernels.
 
-Exit codes: 0 success, 1 internal error, 2 usage/input error. The OMS_LOG
+Exit codes: 0 success, 1 internal error, 2 usage or input error, including
+any file or directory that cannot be read, parsed or written. The OMS_LOG
 environment variable sets log verbosity (DEBUG/INFO/WARNING/ERROR).
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import dataset_io
 from .dataset_io import (
     DatasetManifest,
+    _read_json,
     _write_pgm,
     mask_filename,
     read_events,
@@ -30,7 +32,7 @@ from .dataset_io import (
     write_mask,
 )
 from .engine import OmsParams, _kernels_for, oms_frame, oms_sequence
-from .errors import OmsError, ParseError
+from .errors import OmsError
 from .events import bin_events
 from .kernels import kernel_to_text, make_feathered_kernel
 from .metrics import evaluate_sequence
@@ -49,13 +51,13 @@ def _setup_logging():
 
 
 def handle_errors(f):
-    """Map package errors to exit 2 and unexpected ones to exit 1."""
+    """Map package and file-system errors to exit 2, unexpected ones to exit 1."""
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except (OmsError, FileNotFoundError, json.JSONDecodeError) as exc:
+        except (OmsError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except click.ClickException:
@@ -92,9 +94,7 @@ def param_options(f):
 
 def resolve_params(config_doc: dict, **flags) -> OmsParams:
     """Flags override config-file values override defaults, and OmsParams checks
-    them; a config document that is not an object raises ParseError."""
-    if not isinstance(config_doc, dict):
-        raise ParseError(f"run config must be a JSON object, got {type(config_doc).__name__}")
+    them."""
     merged = {}
     for key, flag in flags.items():
         value = config_doc.get(key) if flag is None else flag
@@ -115,13 +115,12 @@ def _resolve_threads(threads) -> int:
     return n
 
 
-def build_frames(manifest_path, timings: dict | None = None):
+def build_frames(manifest_path, timings: dict):
     """(manifest, (T, H, W) uint8 stack of binary frames) for a dataset.
 
-    With a timings dict, records the "load" (manifest + events) and "bin"
-    stages in it, in milliseconds.
+    Records the "load" (manifest + events) and "bin" stages in timings, in
+    milliseconds.
     """
-    timings = {} if timings is None else timings
     with _timed(timings, "load"):
         manifest = DatasetManifest.load(manifest_path)
         event_path, _ = manifest.resolve(Path(manifest_path).parent)
@@ -159,7 +158,7 @@ def _timed(timings: dict, stage: str):
 @handle_errors
 def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags):
     """Run OMS over a dataset and write one mask per ground-truth timestamp."""
-    config_doc = json.loads(Path(config_path).read_text()) if config_path else {}
+    config_doc = _read_json(config_path, "run config") if config_path else {}
     params = resolve_params(config_doc, **flags)
     if emit_overlays is None:
         emit_overlays = bool(config_doc.get("emit_overlays", False))
@@ -245,7 +244,7 @@ def cmd_eval(pred_dir, manifest_path, out_path, verbose):
 @handle_errors
 def cmd_synth(scene_config, out_dir):
     """Generate a synthetic dataset from a scene config JSON file."""
-    config = SceneConfig.from_dict(json.loads(Path(scene_config).read_text()))
+    config = SceneConfig.from_dict(_read_json(scene_config, "scene config"))
     events, masks, timestamps = generate_scene(config)
     manifest_path = write_dataset(out_dir, events, config.geometry, masks, timestamps)
     click.echo(f"wrote {len(masks)} frames, {len(events)} events; manifest at {manifest_path}")

@@ -188,6 +188,23 @@ def read_mask(path, geometry: SensorGeometry | None = None) -> np.ndarray:
 # --- manifests and whole datasets -------------------------------------------
 
 
+def _read_json(path, what: str) -> dict:
+    """The JSON object in a UTF-8 file. ParseError names the path when the
+    file is missing, cannot be read, is not UTF-8 JSON or is not an object."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_bytes().decode("utf-8"))
+    except FileNotFoundError as exc:
+        raise ParseError(f"{path}: {what} not found") from exc
+    except OSError as exc:  # a directory, or no permission
+        raise ParseError(f"{path}: cannot read {what}: {exc.strerror}") from exc
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ParseError(f"{path}: malformed {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 def mask_filename(index: int) -> str:
     return f"mask_{index:05d}.pgm"
 
@@ -221,14 +238,7 @@ class DatasetManifest:
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         path = Path(path)
-        try:
-            doc = json.loads(path.read_bytes().decode("utf-8"))
-        except FileNotFoundError as exc:
-            raise ParseError(f"{path}: manifest not found") from exc
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-            raise ParseError(f"{path}: invalid manifest JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ParseError(f"{path}: manifest must be a JSON object")
+        doc = _read_json(path, "manifest")
         try:
             geometry, timestamps = doc["geometry"], doc["mask_timestamps"]
             strings = {k: doc[k] for k in ("event_file", "mask_dir")}
@@ -340,7 +350,7 @@ def _import(source: str, src_dir, out_dir) -> DatasetManifest:
     missing = [n for n in (event_file, timestamp_file, "masks") if not (src / n).exists()]
     if missing:
         raise ParseError(f"{src}: missing required entries: {', '.join(missing)}")
-    geometry = _read_meta_geometry(src, default=SensorGeometry(346, 260))
+    geometry = _read_meta_geometry(src)
     path = src / event_file
     raw = _numbers(load_events, path, "event")
     if raw.size == 0:
@@ -405,16 +415,15 @@ def import_mod(src_dir, out_dir) -> DatasetManifest:
     return _import("mod", src_dir, out_dir)
 
 
-def _read_meta_geometry(src: Path, default: SensorGeometry) -> SensorGeometry:
+def _read_meta_geometry(src: Path) -> SensorGeometry:
+    """The geometry in src/meta.json, or 346x260 when there is none."""
     meta = src / "meta.json"
     if not meta.exists():
-        return default
+        return SensorGeometry(346, 260)
+    doc = _read_json(meta, "meta file")
     try:
-        doc = json.loads(meta.read_bytes().decode("utf-8"))
-        if not isinstance(doc, dict):
-            raise ParseError(f"{meta}: meta file must be a JSON object")
         return SensorGeometry(doc["width"], doc["height"]).validate()
-    except (ValueError, KeyError) as exc:  # ValueError: UnicodeDecodeError, JSONDecodeError
-        raise ParseError(f"{meta}: malformed meta file: {exc}") from exc
+    except KeyError as exc:
+        raise ParseError(f"{meta}: malformed meta file: missing field {exc}") from exc
     except ValidationError as exc:
         raise ParseError(f"{meta}: {exc}") from exc

@@ -3,9 +3,11 @@
 Events are DVS brightness-change records (t, x, y, p) with t in integer
 microseconds and polarity p in {-1, +1}. Streams are kept as numpy
 structured arrays (EVENT_DTYPE) so that windowing and accumulation are
-vectorized; single records use the Event named tuple. bin_events turns a
-whole stream into a (T, H, W) stack of binary frames in one pass;
-window_events and accumulate_frame do the same one window at a time.
+vectorized; single records use the Event named tuple. A window is a plain
+EVENT_DTYPE slice of the stream, cut by the one window rule
+(_window_bounds). bin_events turns a whole stream into a (T, H, W) stack
+of binary frames in one pass; window_events and accumulate_frame do the
+same one window at a time.
 
 The accumulation step collapses both time and polarity: a pixel of the
 output binary frame is 1 iff at least one event of either polarity landed
@@ -15,7 +17,6 @@ downstream center-surround stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -96,69 +97,28 @@ def _check_bounds(events: np.ndarray, geometry: SensorGeometry) -> None:
         )
 
 
-def _window_bounds(t: np.ndarray, mask_timestamps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The window rule of window_events, for a sorted int64 time column.
-
-    Returns (timestamps, bounds): window k is events[bounds[k]:bounds[k + 1]].
-    """
+def _window_bounds(t: np.ndarray, mask_timestamps: Sequence[int]) -> np.ndarray:
+    """The window rule, for a sorted int64 time column: window k is
+    events[bounds[k]:bounds[k + 1]] for the returned bounds."""
     ts = np.asarray(mask_timestamps, dtype=np.int64)
     if ts.size and np.any(np.diff(ts) <= 0):
         raise ValidationError("mask timestamps must be strictly increasing")
     bounds = np.zeros(ts.size + 1, dtype=np.int64)
     bounds[1:] = np.searchsorted(t, ts, side="right")
-    return ts, bounds
+    return bounds
 
 
-@dataclass(frozen=True)
-class EventWindow:
-    """Events with t in the half-open interval (t_start, t_end]."""
-
-    events: np.ndarray
-    t_start: int
-    t_end: int
-
-    def __post_init__(self):
-        ev = as_event_array(self.events)
-        object.__setattr__(self, "events", ev)
-        t = ev["t"].astype(np.int64)
-        if t.size:
-            if t.min() <= self.t_start or t.max() > self.t_end:
-                raise ValidationError(
-                    f"window events outside ({self.t_start}, {self.t_end}]"
-                )
-            if np.any(np.diff(t) < 0):
-                raise ValidationError("window events not time-ordered")
-
-    @classmethod
-    def _unchecked(cls, events: np.ndarray, t_start: int, t_end: int) -> "EventWindow":
-        """A window cut by the window rule from an already validated stream."""
-        window = object.__new__(cls)
-        object.__setattr__(window, "events", events)
-        object.__setattr__(window, "t_start", t_start)
-        object.__setattr__(window, "t_end", t_end)
-        return window
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-def window_events(
-    stream: EventsLike, mask_timestamps: Sequence[int]
-) -> list[EventWindow]:
+def window_events(stream: EventsLike, mask_timestamps: Sequence[int]) -> list[np.ndarray]:
     """Partition a sorted stream into one window per mask timestamp.
 
-    Window k holds events with t in (t_{k-1}, t_k], with t_0 = -1 so the
-    first window takes everything up to and including the first timestamp.
-    Events after the last timestamp are dropped (no ground truth exists
-    for them).
+    Window k is the EVENT_DTYPE slice of the stream with t in
+    (t_{k-1}, t_k], with t_0 = -1 so the first window takes everything up
+    to and including the first timestamp. Events after the last timestamp
+    are dropped (no ground truth exists for them).
     """
     ev = as_event_array(stream)
-    ts, bounds = _window_bounds(_check_order_and_polarity(ev), mask_timestamps)
-    edges = [-1] + ts.tolist()
-    return [
-        EventWindow._unchecked(ev[bounds[k] : bounds[k + 1]], edges[k], edges[k + 1])
-        for k in range(ts.size)
-    ]
+    bounds = _window_bounds(_check_order_and_polarity(ev), mask_timestamps)
+    return [ev[bounds[k] : bounds[k + 1]] for k in range(len(bounds) - 1)]
 
 
 def bin_events(
@@ -173,7 +133,7 @@ def bin_events(
     """
     geometry = SensorGeometry(*geometry).validate()
     ev = as_event_array(stream)
-    _, bounds = _window_bounds(_check_order_and_polarity(ev), mask_timestamps)
+    bounds = _window_bounds(_check_order_and_polarity(ev), mask_timestamps)
     _check_bounds(ev[: bounds[-1]], geometry)
     return _paint(ev, bounds, geometry)
 
@@ -192,15 +152,13 @@ def _paint(events: np.ndarray, bounds, geometry: SensorGeometry) -> np.ndarray:
     return stack
 
 
-def accumulate_frame(
-    window: EventWindow | EventsLike, geometry: SensorGeometry
-) -> np.ndarray:
+def accumulate_frame(window: EventsLike, geometry: SensorGeometry) -> np.ndarray:
     """Collapse a window into a binary frame: pixel = 1 iff any event hit it.
 
     Polarity is ignored ("compressed") on purpose. Returns a uint8 array of
     shape (height, width) with values in {0, 1}.
     """
     geometry = SensorGeometry(*geometry).validate()
-    ev = window.events if isinstance(window, EventWindow) else as_event_array(window)
+    ev = as_event_array(window)
     _check_bounds(ev, geometry)
     return _paint(ev, (0, len(ev)), geometry)[0]

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import shutil
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -444,6 +445,137 @@ class TestCliFuzz:
                 DatasetManifest.load(Path(tmp) / "ds" / "manifest.json")
         assert result.exit_code in (0, 2), result.output
         assert "internal error" not in result.output
+
+
+def dataset_copy(manifest_path, dest):
+    """A copy of the dataset directory at dest; returns the copy's manifest."""
+    shutil.copytree(manifest_path.parent, dest)
+    return dest / "manifest.json"
+
+
+def dir_in_place_of(path):
+    """Replace the file at path with an empty directory; returns path."""
+    path.unlink()
+    path.mkdir()
+    return path
+
+
+def non_utf8_file(path):
+    path.write_bytes(b"\xff\xfe{}")
+    return path
+
+
+# Each case builds one unreadable input in tmp and returns (CLI args, the
+# path the error message must name).
+UNREADABLE_INPUTS = {
+    "scene config not UTF-8": lambda m, preds, tmp: (
+        ["synth", non_utf8_file(tmp / "scene.json"), "--out", tmp / "ds"], tmp / "scene.json"),
+    "scene config is a directory": lambda m, preds, tmp: (
+        ["synth", tmp, "--out", tmp / "ds"], tmp),
+    "run config not UTF-8": lambda m, preds, tmp: (
+        ["run", "--manifest", m, "--out", tmp / "o", "--config", non_utf8_file(tmp / "cfg.json")],
+        tmp / "cfg.json"),
+    "run config is a directory": lambda m, preds, tmp: (
+        ["run", "--manifest", m, "--out", tmp / "o", "--config", tmp], tmp),
+    "manifest is a directory": lambda m, preds, tmp: (
+        ["run", "--manifest", tmp, "--out", tmp / "o"], tmp),
+    "event file is a directory": lambda m, preds, tmp: (
+        ["run", "--manifest", dataset_copy(m, tmp / "ds"), "--out", tmp / "o"],
+        dir_in_place_of(tmp / "ds" / "events.evt")),
+    "ground truth is a directory (eval)": lambda m, preds, tmp: (
+        ["eval", "--pred-dir", preds, "--manifest", dataset_copy(m, tmp / "ds")],
+        dir_in_place_of(tmp / "ds" / "masks" / mask_filename(1))),
+    "ground truth is a directory (overlays)": lambda m, preds, tmp: (
+        ["run", "--manifest", dataset_copy(m, tmp / "ds"), "--out", tmp / "o",
+         "--emit-overlays"], dir_in_place_of(tmp / "ds" / "masks" / mask_filename(1))),
+    "prediction is a directory": lambda m, preds, tmp: (
+        ["eval", "--pred-dir", shutil.copytree(preds, tmp / "p"), "--manifest", m],
+        dir_in_place_of(tmp / "p" / "oms_00001.pgm")),
+    "run --out is a file": lambda m, preds, tmp: (
+        ["run", "--manifest", m, "--out", tmp / "o"], non_utf8_file(tmp / "o")),
+}
+
+
+@pytest.fixture(scope="module")
+def predictions(dataset, tmp_path_factory):
+    """oms run's masks for the module dataset."""
+    out = tmp_path_factory.mktemp("preds")
+    assert run_cli("run", "--manifest", dataset[0], "--out", out).exit_code == 0
+    return out
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+    def test_exit_2_naming_the_path(self, dataset, predictions, tmp_path, case):
+        args, path = UNREADABLE_INPUTS[case](dataset[0], predictions, tmp_path)
+        result = run_cli(*args)
+        assert result.exit_code == 2, result.output
+        assert str(path) in result.output
+        assert "internal error" not in result.output
+
+
+def mutated(draw, data: bytes) -> bytes:
+    """data truncated, with up to 4 bytes flipped, or extended."""
+    kind = draw(st.sampled_from(["truncate", "flip", "extend"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "extend":
+        return data + draw(st.binary(min_size=1, max_size=40))
+    out = bytearray(data)
+    for i in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=4)):
+        out[i] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def tiny_datasets(tmp_path_factory):
+    """A 16x8, 3-frame dataset with a native and a CSV event file, and oms
+    run's masks for it: {"native" | "csv": manifest path, "preds": dir}."""
+    config = SceneConfig.from_dict(scene_doc(n_frames=4))
+    events, masks, ts = generate_scene(config)
+    root = tmp_path_factory.mktemp("tiny")
+    native = write_dataset(root / "native", events, config.geometry, masks, ts)
+    csv = dataset_copy(native, root / "csv")
+    (csv.parent / "events.evt").unlink()
+    (csv.parent / "events.csv").write_text(
+        "t,x,y,p\n" + "".join(f"{t},{x},{y},{p}\n" for t, x, y, p in events.tolist()))
+    doc = json.loads(csv.read_text())
+    csv.write_text(json.dumps({**doc, "event_file": "events.csv"}))
+    preds = root / "preds"
+    assert run_cli("run", "--manifest", native, "--out", preds, "--alpha", 0.13).exit_code == 0
+    return {"native": native, "csv": csv, "preds": preds}
+
+
+class TestFileFuzz:
+    """run and eval exit 0 or 2 on truncated, byte-flipped or extended
+    manifests, event files (native and CSV) and masks, and never write a
+    NaN or an Infinity."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(layout=st.sampled_from(["native", "csv"]), overlays=st.booleans(), data=st.data())
+    def test_run_eval(self, tiny_datasets, layout, overlays, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            manifest = dataset_copy(tiny_datasets[layout], tmp / "ds")
+            preds = shutil.copytree(tiny_datasets["preds"], tmp / "preds")
+            files = [manifest, manifest.parent / json.loads(manifest.read_text())["event_file"],
+                     *sorted((tmp / "ds" / "masks").iterdir()), *sorted(preds.glob("oms_*"))]
+            mutate = data.draw(st.lists(st.sampled_from(files), min_size=1, max_size=2,
+                                        unique=True))
+            for path in mutate:
+                path.write_bytes(mutated(data.draw, path.read_bytes()))
+            out = tmp / "run"
+            run = run_cli("run", "--manifest", manifest, "--out", out,
+                          *(["--emit-overlays"] if overlays else []))
+            if run.exit_code == 0:
+                strict_json((out / "run.json").read_text())
+            report = tmp / "report.json"
+            ev = run_cli("eval", "--pred-dir", preds, "--manifest", manifest, "--out", report)
+            if ev.exit_code == 0:
+                strict_json(report.read_text())
+        for result in (run, ev):
+            assert result.exit_code in (0, 2), result.output
+            assert "NaN" not in result.output and "Infinity" not in result.output
 
 
 class TestKernelDump:

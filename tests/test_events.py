@@ -32,7 +32,7 @@ class TestWindowEvents:
     def test_boundary_partition(self):
         ev = make_events([5, 10, 15, 20])
         windows = window_events(ev, [10, 20])
-        assert [list(w.events["t"]) for w in windows] == [[5, 10], [15, 20]]
+        assert [list(w["t"]) for w in windows] == [[5, 10], [15, 20]]
 
     def test_empty_stream(self):
         windows = window_events(np.empty(0, dtype=EVENT_DTYPE), [100])
@@ -41,7 +41,7 @@ class TestWindowEvents:
     def test_events_after_last_timestamp_dropped(self):
         ev = make_events([1, 2, 3, 50])
         windows = window_events(ev, [10])
-        assert list(windows[0].events["t"]) == [1, 2, 3]
+        assert list(windows[0]["t"]) == [1, 2, 3]
 
     def test_random_stream_recount(self, rng):
         # Oracle: linear-scan recount of events at or before the last timestamp.
@@ -70,7 +70,7 @@ class TestWindowEvents:
         ts = sorted(ts)
         bounds = sorted(bounds)
         windows = window_events(make_events(ts), bounds)
-        glued = np.concatenate([w.events["t"] for w in windows])
+        glued = np.concatenate([w["t"] for w in windows])
         assert list(glued) == [t for t in ts if t <= bounds[-1]]
 
 
