@@ -11,6 +11,7 @@ Run:  python3 demos/kernel_gallery.py
 import numpy as np
 
 from oms import kernel_to_text, make_feathered_kernel
+from oms.kernels import difference_kernel
 
 center = make_feathered_kernel(radius=2, sigma=1.0)
 surround = make_feathered_kernel(radius=4, sigma=2.0)
@@ -20,12 +21,11 @@ print(kernel_to_text(center))
 print("\nsurround kernel (radius 4, sigma 2):")
 print(kernel_to_text(surround))
 
-# Embed the 4x4 center in the 8x8 surround support and look at the signed
-# difference. Activating exactly the cells where center > surround maximizes
-# the score |fil_c - fil_s|; that sum is the hard ceiling.
-diff = -surround.weights.copy()
-diff[2:6, 2:6] += center.weights
-ceiling = np.maximum(diff, 0.0).sum()
+# The engine scores |corr(F, D)| with D = surround - center on one 8x8 grid.
+# D sums to zero, so activating exactly the cells where D > 0 maximizes the
+# score; that sum is the hard ceiling.
+d = difference_kernel(center, surround)
+ceiling = np.maximum(d, 0.0).sum()
 
 print(f"\nweight count: {center.weights.size} + {surround.weights.size} = "
       f"{center.weights.size + surround.weights.size}")

@@ -9,6 +9,7 @@ environment variable sets log verbosity (DEBUG/INFO/WARNING/ERROR).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import json
 import logging
@@ -166,20 +167,18 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
 
     timings: dict[str, float] = {}
     manifest, frames = build_frames(manifest_path, timings)
-    with _timed(timings, "score"):
-        preds = oms_sequence(frames, params, threads=n_threads)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with _timed(timings, "write"):
-        for i, pred in enumerate(preds):
-            write_mask(pred, out / PRED_PATTERN.format(i))
     if emit_overlays:
         with _timed(timings, "load"):
             gts = _read_gts(manifest, manifest_path)
-        with _timed(timings, "write"):
-            for i, (frame, gt, pred) in enumerate(zip(frames, gts, preds)):
-                _write_overlay(out / f"overlay_{i:05d}.pgm", frame, gt, pred)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with _timed(timings, "score"):
+        preds = oms_sequence(frames, params, threads=n_threads)
+    with _timed(timings, "write"):
+        for i, pred in enumerate(preds):
+            write_mask(pred, out / PRED_PATTERN.format(i))
+            if emit_overlays:
+                _write_overlay(out / f"overlay_{i:05d}.pgm", frames[i], gts[i], pred)
     run_doc = {
         "format_version": dataset_io.FORMAT_VERSION,
         "manifest": str(Path(manifest_path).resolve()),
@@ -225,13 +224,7 @@ def cmd_eval(pred_dir, manifest_path, out_path, verbose):
     log.info("eval timings_ms %s", json.dumps({k: round(v, 3) for k, v in timings.items()}))
     doc = report.to_dict()
     if verbose:
-        doc["frames"] = [
-            None if s is None else {
-                "iou": s.iou, "detected": s.detected, "gt_area": s.gt_area,
-                "inter_area": s.inter_area, "outside_inter_area": s.outside_inter_area,
-            }
-            for s in frame_scores
-        ]
+        doc["frames"] = [None if s is None else dataclasses.asdict(s) for s in frame_scores]
     text = json.dumps(doc, indent=2)
     click.echo(text)
     if out_path:

@@ -28,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, _check_number
+from .errors import ParseError, ValidationError
 from .events import _T_MAX, EVENT_DTYPE, SensorGeometry, as_event_array
-from .events import _check_bounds, _check_order_and_polarity
+from .events import _check_bounds, _check_order_and_polarity, _check_timestamps
 
 MAGIC = b"EVT1"
 HEADER_SIZE = 16
@@ -219,11 +219,8 @@ class DatasetManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "geometry", SensorGeometry(*self.geometry).validate())
-        ts = tuple(int(_check_number(ValidationError, "mask timestamp", t, True, -(2**63), 2**63 - 1))
-                   for t in self.mask_timestamps)
-        object.__setattr__(self, "mask_timestamps", ts)
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValidationError("mask timestamps must be strictly increasing")
+        object.__setattr__(self, "mask_timestamps",
+                           tuple(_check_timestamps(self.mask_timestamps).tolist()))
 
     def save(self, path) -> None:
         doc = {

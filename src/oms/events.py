@@ -97,15 +97,21 @@ def _check_bounds(events: np.ndarray, geometry: SensorGeometry) -> None:
         )
 
 
+def _check_timestamps(mask_timestamps: Sequence[int]) -> np.ndarray:
+    """Mask timestamps as int64, once each is an integer that fits int64 and
+    they strictly increase; else raises ValidationError."""
+    ts = np.array([_check_number(ValidationError, "mask timestamp", t, True, -_T_MAX - 1, _T_MAX)
+                   for t in mask_timestamps], dtype=np.int64)
+    if np.any(ts[1:] <= ts[:-1]):
+        raise ValidationError("mask timestamps must be strictly increasing")
+    return ts
+
+
 def _window_bounds(t: np.ndarray, mask_timestamps: Sequence[int]) -> np.ndarray:
     """The window rule, for a sorted int64 time column: window k is
     events[bounds[k]:bounds[k + 1]] for the returned bounds."""
-    ts = np.asarray(mask_timestamps, dtype=np.int64)
-    if ts.size and np.any(np.diff(ts) <= 0):
-        raise ValidationError("mask timestamps must be strictly increasing")
-    bounds = np.zeros(ts.size + 1, dtype=np.int64)
-    bounds[1:] = np.searchsorted(t, ts, side="right")
-    return bounds
+    ts = _check_timestamps(mask_timestamps)
+    return np.concatenate(([0], np.searchsorted(t, ts, side="right")))
 
 
 def window_events(stream: EventsLike, mask_timestamps: Sequence[int]) -> list[np.ndarray]:

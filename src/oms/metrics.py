@@ -6,6 +6,10 @@ event-masked: the prediction is the DVS frame ANDed with the algorithm
 output, the ground truth is the DVS frame ANDed with the motion mask.
 Frames whose masked ground truth is empty carry no signal and are skipped
 (counted, not scored).
+
+The per-frame metrics and the sequence report share one pixel count
+(_areas) and one rule each for IoU and detection (_rules) and for the ratio
+(_br): iou, detection, score_frame and bf_ratio are one-frame views.
 """
 
 from __future__ import annotations
@@ -22,52 +26,25 @@ from .errors import ValidationError
 IOU_SKIP = float("nan")
 
 
-def _counts(pred: np.ndarray, gt: np.ndarray) -> tuple[int, int, int, int]:
-    if pred.shape != gt.shape:
-        raise ValidationError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    p = pred.astype(bool)
-    g = gt.astype(bool)
-    inter = int(np.count_nonzero(p & g))
-    union = int(np.count_nonzero(p | g))
-    outside = int(np.count_nonzero(p & ~g))
-    return inter, union, outside, int(np.count_nonzero(g))
-
-
 def iou(pred: np.ndarray, gt: np.ndarray) -> float:
     """Intersection over union; NaN (IOU_SKIP) when both masks are empty."""
-    inter, union, _, _ = _counts(pred, gt)
-    if union == 0:
-        return IOU_SKIP
-    return inter / union
+    inter, pred_area, gt_area = _pair_areas(pred, gt)
+    return _frame_scores(inter, pred_area, gt_area)[0].iou if pred_area + gt_area else IOU_SKIP
 
 
 def detection(pred: np.ndarray, gt: np.ndarray) -> bool:
-    """A frame counts as detected when the prediction covers at least half of
-    the ground-truth area and overlaps the ground truth more than it
-    overlaps the outside."""
-    inter, _, outside, gt_area = _counts(pred, gt)
-    if gt_area == 0:
-        raise ValidationError("detection is undefined for an empty ground truth")
-    return bool(_detected(inter, outside, gt_area))
-
-
-def _detected(inter, outside, gt_area):
-    """The detection rule, elementwise on counts (ints or integer arrays)."""
-    return (inter >= 0.5 * gt_area) & (inter > outside)
+    """Whether the prediction covers at least half of the ground-truth area
+    and overlaps the ground truth more than it overlaps the outside."""
+    return score_frame(pred, gt).detected
 
 
 def bf_ratio(dvs_frame: np.ndarray, gt: np.ndarray) -> float:
     """Active DVS pixels outside the ground truth divided by those inside;
     +inf when nothing is active inside."""
-    if dvs_frame.shape != gt.shape:
-        raise ValidationError(f"shape mismatch: {dvs_frame.shape} vs {gt.shape}")
-    f = dvs_frame.astype(bool)
-    g = gt.astype(bool)
-    inside = int(np.count_nonzero(f & g))
-    outside = int(np.count_nonzero(f & ~g))
-    if inside == 0:
+    inside, active, _ = _pair_areas(dvs_frame, gt)
+    if inside[0] == 0:
         return math.inf
-    return outside / inside
+    return float(_br(active, inside)[0])
 
 
 @dataclass(frozen=True)
@@ -81,16 +58,10 @@ class FrameScore:
 
 def score_frame(pred: np.ndarray, gt: np.ndarray) -> FrameScore:
     """Score one evaluated frame (gt must be non-empty)."""
-    inter, union, outside, gt_area = _counts(pred, gt)
-    if gt_area == 0:
+    inter, pred_area, gt_area = _pair_areas(pred, gt)
+    if gt_area[0] == 0:
         raise ValidationError("cannot score a frame with empty ground truth")
-    return FrameScore(
-        iou=inter / union,
-        detected=bool(_detected(inter, outside, gt_area)),
-        gt_area=gt_area,
-        inter_area=inter,
-        outside_inter_area=outside,
-    )
+    return _frame_scores(inter, pred_area, gt_area)[0]
 
 
 @dataclass(frozen=True)
@@ -133,14 +104,11 @@ def evaluate_sequence(
         )
     gt_m &= dvs
     pred_m &= dvs
-    active, gt_area, pred_area = (_frame_counts(m) for m in (dvs, gt_m, pred_m))
-    pred_m &= gt_m
-    inter = _frame_counts(pred_m)
+    active = _frame_counts(dvs)
+    inter, pred_area, gt_area = _areas(pred_m, gt_m)
     keep = gt_area > 0
-    inter, gt_area, pred_area, active = (c[keep] for c in (inter, gt_area, pred_area, active))
-    outside = pred_area - inter
-    ious = inter / (pred_area + gt_area - inter)
-    detected = _detected(inter, outside, gt_area)
+    inter, pred_area, gt_area, active = (c[keep] for c in (inter, pred_area, gt_area, active))
+    ious, _, detected = _rules(inter, pred_area, gt_area)
     n = len(ious)
     report = SequenceReport(
         mean_iou=100.0 * float(np.mean(ious)) if n else 0.0,
@@ -148,20 +116,47 @@ def evaluate_sequence(
         detection_rate=100.0 * int(detected.sum()) / n if n else 0.0,
         frames_evaluated=n,
         frames_skipped=len(keep) - n,
-        br_mean=float(np.mean((active - gt_area) / gt_area)) if n else 0.0,
+        br_mean=float(np.mean(_br(active, gt_area))) if n else 0.0,
     )
     if not with_frames:
         return report
-    frame_scores: list[FrameScore | None] = [None] * len(keep)
-    for j, k in enumerate(np.flatnonzero(keep)):
-        frame_scores[k] = FrameScore(
-            iou=float(ious[j]),
-            detected=bool(detected[j]),
-            gt_area=int(gt_area[j]),
-            inter_area=int(inter[j]),
-            outside_inter_area=int(outside[j]),
-        )
-    return report, frame_scores
+    scores = iter(_frame_scores(inter, pred_area, gt_area))
+    return report, [next(scores) if k else None for k in keep]
+
+
+def _areas(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-frame (intersection, prediction, ground-truth) pixel counts of two
+    equal-shape bool stacks; ANDs gt into pred in place."""
+    pred_area, gt_area = _frame_counts(pred), _frame_counts(gt)
+    pred &= gt
+    return _frame_counts(pred), pred_area, gt_area
+
+
+def _pair_areas(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_areas of one pair of masks, each count an array of length one."""
+    if pred.shape != gt.shape:
+        raise ValidationError(f"shape mismatch: {pred.shape} vs {gt.shape}")
+    return _areas(pred.astype(bool)[None], gt.astype(bool)[None])
+
+
+def _rules(inter, pred_area, gt_area):
+    """(IoU, outside area, detected), elementwise on per-frame counts with a
+    non-empty union; detection is the rule that detection() documents."""
+    outside = pred_area - inter
+    detected = (inter >= 0.5 * gt_area) & (inter > outside)
+    return inter / (pred_area + gt_area - inter), outside, detected
+
+
+def _br(active, inside):
+    """Active pixels outside the ground truth per active pixel inside, elementwise."""
+    return (active - inside) / inside
+
+
+def _frame_scores(inter, pred_area, gt_area) -> list[FrameScore]:
+    """One FrameScore per frame of per-frame counts."""
+    ious, outside, detected = _rules(inter, pred_area, gt_area)
+    return [FrameScore(float(v), bool(d), int(g), int(i), int(o))
+            for v, d, g, i, o in zip(ious, detected, gt_area, inter, outside)]
 
 
 def _bool_stack(frames: Sequence[np.ndarray], what: str) -> np.ndarray:

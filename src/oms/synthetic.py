@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError, ParseError, _check_number
 from .events import _MAX_SIDE, EVENT_DTYPE, SensorGeometry, bin_events
-from .metrics import bf_ratio
+from .metrics import _areas, _br
 
 FRAME_DT_US = 1000
 
@@ -217,9 +217,7 @@ def scene_br(config: SceneConfig) -> float:
     if not config.objects:
         raise ParameterError("scene_br needs at least one object")
     events, masks, timestamps = generate_scene(config)
-    ratios = []
-    for frame, mask in zip(bin_events(events, timestamps, config.geometry), masks):
-        r = bf_ratio(frame, mask)
-        if np.isfinite(r):
-            ratios.append(r)
-    return float(np.mean(ratios)) if ratios else float("inf")
+    frames = bin_events(events, timestamps, config.geometry).view(bool)  # 0/1 uint8
+    inside, active, _ = _areas(frames, np.array(masks, dtype=bool))
+    keep = inside > 0
+    return float(np.mean(_br(active[keep], inside[keep]))) if keep.any() else math.inf

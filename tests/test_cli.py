@@ -136,6 +136,20 @@ class TestRun:
         assert result.exit_code == 0, result.output
         assert len(list((tmp_path / "run").glob("oms_*.pgm"))) == n
 
+    def test_unreadable_ground_truth_writes_nothing(self, dataset, tmp_path):
+        # With --emit-overlays the masks are read before any prediction is scored
+        # or written, so an unreadable mask leaves no partial output behind.
+        manifest_path, _ = dataset
+        ds = tmp_path / "ds"
+        shutil.copytree(manifest_path.parent, ds)
+        (ds / "masks" / mask_filename(1)).unlink()
+        (ds / "masks" / mask_filename(1)).mkdir()
+        out = tmp_path / "run"
+        result = run_cli("run", "--manifest", ds / "manifest.json", "--out", out,
+                         "--emit-overlays")
+        assert result.exit_code == 2, result.output
+        assert not list(out.glob("oms_*.pgm"))
+
     @pytest.mark.parametrize("config, flags", [
         ({"r1": "2"}, []),
         ({"r1": 2.0}, []),

@@ -61,6 +61,23 @@ class TestWindowEvents:
         with pytest.raises(ValidationError):
             window_events(make_events([1]), [10, 10])
 
+    @pytest.mark.parametrize("timestamps", [
+        [1.5, 2.7],        # fractional: int64 casting would cut windows at 1 and 2
+        [True, 2],         # bool is not an integer timestamp
+        [2**64],           # does not fit int64
+        ["a"],
+        [float("nan")],
+        [[1], [2]],        # not a flat list
+    ], ids=["float", "bool", "overflow", "string", "nan", "nested"])
+    @pytest.mark.parametrize("cut", ["window_events", "bin_events"])
+    def test_bad_timestamp_rejected(self, cut, timestamps):
+        ev = make_events([1, 2])
+        with pytest.raises(ValidationError, match="mask timestamp"):
+            if cut == "window_events":
+                window_events(ev, timestamps)
+            else:
+                bin_events(ev, timestamps, SensorGeometry(4, 4))
+
     @given(
         ts=st.lists(st.integers(0, 10**6), min_size=0, max_size=200),
         bounds=st.lists(st.integers(0, 10**6), min_size=1, max_size=20, unique=True),

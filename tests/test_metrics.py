@@ -186,3 +186,86 @@ class TestEvaluateSequence:
         assert scores[0].gt_area == 100  # dvs AND gt
         # masked prediction covers the whole visible dvs half: IoU 100/200
         assert report.mean_iou == pytest.approx(50.0)
+
+
+def _scan(a, b, within=None):
+    """Pixel counts of two equal-shape binary masks by a per-pixel scan over
+    the pixels set in `within` (default all): (a and b, a, b, a or b, a and not b)."""
+    counts = [0] * 5
+    keep = [1] * a.size if within is None else within.ravel().tolist()
+    for x, y, k in zip(a.ravel().tolist(), b.ravel().tolist(), keep):
+        x, y = bool(x and k), bool(y and k)
+        for i, hit in enumerate((x and y, x, y, x or y, x and not y)):
+            counts[i] += hit
+    return counts
+
+
+def _scan_score(pred, gt, within=None):
+    """The FrameScore fields of a pair with non-empty gt, from _scan alone."""
+    inter, _, gt_area, union, outside = _scan(pred, gt, within)
+    return {"iou": inter / union, "detected": 2 * inter >= gt_area and inter > outside,
+            "gt_area": gt_area, "inter_area": inter, "outside_inter_area": outside}
+
+
+@st.composite
+def binary_sequences(draw):
+    """(preds, gts, dvs): three lists of 1-4 equal-shape binary frames of at
+    most 12x12."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    stacks = [draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 1))) for _ in range(3)]
+    return tuple(list(s) for s in stacks)
+
+
+class TestScanOracle:
+    """evaluate_sequence and the per-frame metrics against a per-pixel scan
+    that shares no code with oms.metrics."""
+
+    @given(binary_sequences())
+    @settings(max_examples=200, deadline=None)
+    def test_sequence_matches_scan(self, seq):
+        preds, gts, dvs = seq
+        expected, brs = [], []
+        for pred, gt, frame in zip(preds, gts, dvs):
+            inside, _, _, _, outside = _scan(frame, gt)  # active pixels in and out of gt
+            if inside == 0:  # the event-masked ground truth is empty: skipped
+                expected.append(None)
+                continue
+            expected.append(_scan_score(pred, gt, within=frame))
+            brs.append(outside / inside)
+        scored = [e for e in expected if e is not None]
+        n = len(scored)
+        ious = [e["iou"] for e in scored]
+        mean = sum(ious) / n if n else 0.0
+        report, frames = evaluate_sequence(preds, gts, dvs, with_frames=True)
+        assert [None if f is None else vars(f) for f in frames] == expected
+        assert report.frames_evaluated == n
+        assert report.frames_skipped == len(preds) - n
+        if not n:
+            assert (report.mean_iou, report.iou_std,
+                    report.detection_rate, report.br_mean) == (0.0,) * 4
+            return
+        assert report.mean_iou == pytest.approx(100.0 * mean, rel=0, abs=1e-12)
+        std = math.sqrt(sum((v - mean) ** 2 for v in ious) / n)
+        assert report.iou_std == pytest.approx(100.0 * std, rel=0, abs=1e-12)
+        assert report.detection_rate == 100.0 * sum(e["detected"] for e in scored) / n
+        assert report.br_mean == pytest.approx(sum(brs) / n, rel=0, abs=1e-12)
+
+    @given(binary_sequences())
+    @settings(max_examples=200, deadline=None)
+    def test_frame_metrics_match_scan(self, seq):
+        for pred, gt, frame in zip(*seq):
+            inter, _, gt_area, union, _ = _scan(pred, gt)
+            if union:
+                assert iou(pred, gt) == inter / union
+            else:
+                assert math.isnan(iou(pred, gt))
+            if gt_area:
+                expected = _scan_score(pred, gt)
+                assert vars(score_frame(pred, gt)) == expected
+                assert detection(pred, gt) is expected["detected"]
+            else:
+                for metric in (score_frame, detection):
+                    with pytest.raises(ValidationError):
+                        metric(pred, gt)
+            inside, _, _, _, outside = _scan(frame, gt)
+            assert bf_ratio(frame, gt) == (outside / inside if inside else math.inf)
