@@ -25,8 +25,9 @@ from . import dataset_io
 from .dataset_io import (
     DatasetManifest,
     _read_json,
+    _read_masks,
+    _write_file,
     _write_pgm,
-    mask_filename,
     read_events,
     read_mask,
     write_dataset,
@@ -131,13 +132,6 @@ def build_frames(manifest_path, timings: dict):
     return manifest, frames
 
 
-def _read_gts(manifest: DatasetManifest, manifest_path) -> list[np.ndarray]:
-    """The dataset's ground-truth masks, one per mask timestamp."""
-    _, mask_dir = manifest.resolve(Path(manifest_path).parent)
-    return [read_mask(mask_dir / mask_filename(i), manifest.geometry)
-            for i in range(len(manifest.mask_timestamps))]
-
-
 @contextlib.contextmanager
 def _timed(timings: dict, stage: str):
     """Add the with-block's wall time to timings[stage], in milliseconds."""
@@ -169,9 +163,10 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
     manifest, frames = build_frames(manifest_path, timings)
     if emit_overlays:
         with _timed(timings, "load"):
-            gts = _read_gts(manifest, manifest_path)
+            gts = _read_masks(manifest, manifest_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / RUN_MANIFEST_NAME).unlink(missing_ok=True)  # written last: marks a complete run
     with _timed(timings, "score"):
         preds = oms_sequence(frames, params, threads=n_threads)
     with _timed(timings, "write"):
@@ -193,7 +188,7 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
         "timings_ms": {stage: round(timings[stage], 3)
                        for stage in ("load", "bin", "score", "write")},
     }
-    (out / RUN_MANIFEST_NAME).write_text(json.dumps(run_doc, indent=2) + "\n")
+    _write_file(out / RUN_MANIFEST_NAME, (json.dumps(run_doc, indent=2) + "\n").encode())
     log.info("processed %d frames in %.3fs", len(preds), timings["score"] / 1e3)
     click.echo(f"wrote {len(preds)} masks to {out}")
 
@@ -216,7 +211,7 @@ def cmd_eval(pred_dir, manifest_path, out_path, verbose):
     timings: dict[str, float] = {}
     manifest, frames = build_frames(manifest_path, timings)
     with _timed(timings, "read_masks"):
-        gts = _read_gts(manifest, manifest_path)
+        gts = _read_masks(manifest, manifest_path)
         preds = [read_mask(Path(pred_dir) / PRED_PATTERN.format(i), manifest.geometry)
                  for i in range(len(gts))]
     with _timed(timings, "evaluate"):
@@ -228,7 +223,7 @@ def cmd_eval(pred_dir, manifest_path, out_path, verbose):
     text = json.dumps(doc, indent=2)
     click.echo(text)
     if out_path:
-        Path(out_path).write_text(text + "\n")
+        _write_file(out_path, (text + "\n").encode())
 
 
 @main.command("synth")

@@ -11,6 +11,10 @@ Masks are binary PGM (P5, maxval 255): 0 background, 255 moving object.
 Reads are tolerant (any nonzero byte decodes to 1, since public dataset
 masks encode object ids as gray levels); writes are strict 0/255.
 
+Output files are overwritten in place, then cut to length: a truncate to 0 makes
+ext4 flush the file on close, and the next overwrite waits. Nothing is fsynced.
+`oms run` writes run.json last, so an output directory without one holds an incomplete run.
+
 The manifest is JSON with fields geometry {width, height}, event_file,
 mask_dir, mask_timestamps (integers, microseconds), source.
 """
@@ -47,13 +51,31 @@ def write_events(events, geometry: SensorGeometry, path) -> None:
     _check_order_and_polarity(ev)
     _check_bounds(ev, geometry)
     header = MAGIC + struct.pack("<HH", geometry.width, geometry.height) + b"\x00" * 8
-    Path(path).write_bytes(header + ev.tobytes())
+    _write_file(path, header + ev.tobytes())
+
+
+def _write_file(path, data: bytes) -> None:
+    """Make data the whole content of the file at path, overwriting it in place."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as f:
+        f.write(data)
+        f.truncate()
+
+
+def _open(path: Path, what: str):
+    """open(path, "rb"), raising any OSError but FileNotFoundError as a ParseError."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read {what}: {exc.strerror}") from exc
 
 
 def read_events(path) -> np.ndarray:
     """Read a native binary event file (or the CSV fallback) into EVENT_DTYPE."""
     path = Path(path)
-    with open(path, "rb") as f:
+    with _open(path, "event file") as f:
         head = f.read(HEADER_SIZE)
         if head[:4] == MAGIC:
             return _parse_native(f, head, path)
@@ -69,7 +91,7 @@ def read_events(path) -> np.ndarray:
 
 def event_file_geometry(path) -> SensorGeometry:
     """Sensor geometry from a native event file header."""
-    with open(path, "rb") as f:
+    with _open(path, "event file") as f:
         head = f.read(HEADER_SIZE)
     if head[:4] != MAGIC or len(head) < HEADER_SIZE:
         raise ParseError(f"{path}: not a native event file")
@@ -153,7 +175,7 @@ def write_mask(mask: np.ndarray, path) -> None:
 def _write_pgm(pixels: np.ndarray, path) -> None:
     """Write a 2D uint8 array as binary PGM (P5, maxval 255)."""
     h, w = pixels.shape
-    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
+    _write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
 
 
 # Magic, width, height and maxval, separated by whitespace and by comments
@@ -165,7 +187,8 @@ _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
 def read_mask(path, geometry: SensorGeometry | None = None) -> np.ndarray:
     """Read a binary PGM into a {0,1} uint8 mask (any nonzero byte -> 1)."""
     path = Path(path)
-    data = path.read_bytes()
+    with _open(path, "mask file") as f:
+        data = f.read()
     if data[:2] != b"P5":
         raise ParseError(f"{path}: not a binary PGM (P5) file")
     header = _PGM_HEADER.match(data)
@@ -193,11 +216,10 @@ def _read_json(path, what: str) -> dict:
     file is missing, cannot be read, is not UTF-8 JSON or is not an object."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_bytes().decode("utf-8"))
+        with _open(path, what) as f:
+            doc = json.loads(f.read().decode("utf-8"))
     except FileNotFoundError as exc:
         raise ParseError(f"{path}: {what} not found") from exc
-    except OSError as exc:  # a directory, or no permission
-        raise ParseError(f"{path}: cannot read {what}: {exc.strerror}") from exc
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise ParseError(f"{path}: malformed {what}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -230,7 +252,7 @@ class DatasetManifest:
             "mask_timestamps": list(self.mask_timestamps),
             "source": self.source,
         }
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+        _write_file(path, (json.dumps(doc, indent=2) + "\n").encode())
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
@@ -278,29 +300,26 @@ def write_dataset(
     write_events(events, geometry, out_dir / "events.evt")
     for i, mask in enumerate(masks):
         write_mask(mask, mask_dir / mask_filename(i))
-    manifest = DatasetManifest(
-        geometry=geometry,
-        event_file="events.evt",
-        mask_dir="masks",
-        mask_timestamps=tuple(timestamps),
-        source=source,
-    )
+    manifest = DatasetManifest(geometry=geometry, event_file="events.evt", mask_dir="masks",
+                               mask_timestamps=tuple(timestamps), source=source)
     manifest_path = out_dir / "manifest.json"
     manifest.save(manifest_path)
     return manifest_path
+
+
+def _read_masks(manifest: DatasetManifest, manifest_path) -> list[np.ndarray]:
+    """The dataset's ground-truth masks, one per mask timestamp."""
+    _, mask_dir = manifest.resolve(Path(manifest_path).parent)
+    return [read_mask(mask_dir / mask_filename(i), manifest.geometry)
+            for i in range(len(manifest.mask_timestamps))]
 
 
 def load_dataset(manifest_path):
     """Load (manifest, events, masks) referenced by a manifest file."""
     manifest_path = Path(manifest_path)
     manifest = DatasetManifest.load(manifest_path)
-    event_path, mask_dir = manifest.resolve(manifest_path.parent)
-    events = read_events(event_path)
-    masks = [
-        read_mask(mask_dir / mask_filename(i), manifest.geometry)
-        for i in range(len(manifest.mask_timestamps))
-    ]
-    return manifest, events, masks
+    event_path, _ = manifest.resolve(manifest_path.parent)
+    return manifest, read_events(event_path), _read_masks(manifest, manifest_path)
 
 
 # --- external dataset importers ---------------------------------------------

@@ -150,6 +150,50 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert not list(out.glob("oms_*.pgm"))
 
+    def test_rerun_into_same_out(self, dataset, tmp_path):
+        # The second pass overwrites every file of the first in place: masks
+        # stay byte-identical, and overlays written over longer files are cut
+        # to the length a fresh directory gets.
+        manifest_path, n = dataset
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        args = ["run", "--manifest", manifest_path, "--alpha", 0.13]
+        assert run_cli(*args, "--out", out).exit_code == 0
+        first = {i: (out / f"oms_{i:05d}.pgm").read_bytes() for i in range(n)}
+        for i in range(n):
+            (out / f"overlay_{i:05d}.pgm").write_bytes(b"\xff" * 20_000)
+        result = run_cli(*args, "--out", out, "--emit-overlays")
+        assert result.exit_code == 0, result.output
+        assert run_cli(*args, "--out", fresh, "--emit-overlays").exit_code == 0
+        for i in range(n):
+            assert (out / f"oms_{i:05d}.pgm").read_bytes() == first[i]
+            overlay = (out / f"overlay_{i:05d}.pgm").read_bytes()
+            assert len(overlay) < 20_000
+            assert overlay == (fresh / f"overlay_{i:05d}.pgm").read_bytes()
+        assert json.loads((out / "run.json").read_text())["emit_overlays"] is True
+
+    def test_failed_rerun_leaves_no_run_json(self, dataset, tmp_path):
+        # run.json is removed before the first mask is written and written
+        # last, so a run that stops part way leaves none behind.
+        manifest_path, _ = dataset
+        out = tmp_path / "run"
+        result = run_cli("run", "--manifest", manifest_path, "--out", out, "--alpha", 0.13)
+        assert result.exit_code == 0, result.output
+        dir_in_place_of(out / "oms_00003.pgm")
+        result = run_cli("run", "--manifest", manifest_path, "--out", out, "--alpha", 0.0)
+        assert result.exit_code == 2, result.output
+        assert "oms_00003.pgm" in result.output
+        assert not (out / "run.json").exists()
+
+    def test_rejected_input_keeps_previous_run(self, dataset, tmp_path):
+        # Input errors stop the run before --out is touched.
+        manifest_path, _ = dataset
+        out = tmp_path / "run"
+        assert run_cli("run", "--manifest", manifest_path, "--out", out).exit_code == 0
+        before = (out / "run.json").read_bytes()
+        result = run_cli("run", "--manifest", manifest_path, "--out", out, "--alpha", 2)
+        assert result.exit_code == 2, result.output
+        assert (out / "run.json").read_bytes() == before
+
     @pytest.mark.parametrize("config, flags", [
         ({"r1": "2"}, []),
         ({"r1": 2.0}, []),
@@ -526,6 +570,18 @@ class TestUnreadableInput:
         assert result.exit_code == 2, result.output
         assert str(path) in result.output
         assert "internal error" not in result.output
+
+    @pytest.mark.parametrize("case, what", [
+        ("event file is a directory", "event file"),
+        ("ground truth is a directory (eval)", "mask file"),
+        ("ground truth is a directory (overlays)", "mask file"),
+        ("prediction is a directory", "mask file"),
+    ])
+    def test_unreadable_data_file_message(self, dataset, predictions, tmp_path, case, what):
+        args, path = UNREADABLE_INPUTS[case](dataset[0], predictions, tmp_path)
+        result = run_cli(*args)
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}: cannot read {what}: " in result.output
 
 
 def mutated(draw, data: bytes) -> bytes:

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import struct
 import time
 
@@ -11,6 +13,7 @@ from oms import EVENT_DTYPE, Event, OmsError, SensorGeometry, as_event_array
 from oms.dataset_io import (
     DatasetManifest,
     ParseError,
+    _write_file,
     event_file_geometry,
     import_evimo,
     import_mod,
@@ -208,6 +211,91 @@ class TestMaskFiles:
         with pytest.raises(ParseError, match="truncated PGM header"):
             read_mask(path)
         assert time.perf_counter() - start < 1.0
+
+
+class TestWriteFile:
+    """Output files are overwritten in place; the result must equal what an
+    O_TRUNC write of the same bytes leaves behind."""
+
+    @pytest.mark.parametrize("old", [None, b"x" * 100, b"ab"], ids=["absent", "longer", "shorter"])
+    def test_result_is_exactly_the_new_bytes(self, tmp_path, old):
+        path = tmp_path / "f.bin"
+        if old is not None:
+            path.write_bytes(old)
+        new = b"0123456789"
+        _write_file(path, new)
+        assert path.read_bytes() == new
+        assert path.stat().st_size == len(new)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_created_mode_matches_open_wb(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "wb"):
+                pass
+            _write_file(tmp_path / "written", b"data")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "written").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+    def test_existing_file_is_overwritten_in_place(self, tmp_path):
+        # Same inode and mode, so hard links see the new bytes, as with O_TRUNC.
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"x" * 50)
+        path.chmod(0o600)
+        os.link(path, tmp_path / "link.bin")
+        before = path.stat()
+        _write_file(path, b"new")
+        after = path.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert (tmp_path / "link.bin").read_bytes() == b"new"
+
+    def test_symlink_is_followed(self, tmp_path):
+        target = tmp_path / "target.bin"
+        target.write_bytes(b"x" * 50)
+        (tmp_path / "sym.bin").symlink_to(target)
+        _write_file(tmp_path / "sym.bin", b"new")
+        assert (tmp_path / "sym.bin").is_symlink()
+        assert target.read_bytes() == b"new"
+
+    def test_directory_is_refused(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            _write_file(tmp_path, b"data")
+
+    def test_mask_round_trip_after_overwrite(self, tmp_path, rng):
+        path, fresh = tmp_path / "m.pgm", tmp_path / "fresh.pgm"
+        write_mask(np.ones((40, 50), np.uint8), path)
+        for shape in [(48, 64), (8, 12), (48, 64)]:
+            mask = (rng.random(shape) < 0.3).astype(np.uint8)
+            write_mask(mask, path)
+            write_mask(mask, fresh)
+            assert path.read_bytes() == fresh.read_bytes()
+            assert np.array_equal(read_mask(path), mask)
+
+    def test_every_writer_overwrites(self, tmp_path, rng):
+        # Events, masks and the manifest written over longer files read back
+        # as exactly what a write into a fresh directory gives.
+        ev = random_events(rng, 100)
+        masks = [np.zeros((48, 64), np.uint8)] * 2
+        fresh = write_dataset(tmp_path / "fresh", ev, GEOM, masks, [1, 2])
+        again = tmp_path / "again"
+        write_dataset(again, random_events(rng, 500), GEOM, [np.ones((48, 64), np.uint8)] * 2,
+                      [10**12, 2 * 10**12])
+        write_dataset(again, ev, GEOM, masks, [1, 2])
+        for name in ("events.evt", "manifest.json", "masks/mask_00000.pgm", "masks/mask_00001.pgm"):
+            assert (again / name).read_bytes() == (fresh.parent / name).read_bytes(), name
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("read, what", [(read_mask, "mask file"), (read_events, "event file")])
+    def test_directory_is_a_parse_error(self, tmp_path, read, what):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(tmp_path))}: cannot read {what}: "):
+            read(tmp_path)
+
+    @pytest.mark.parametrize("read", [read_mask, read_events])
+    def test_missing_file_stays_file_not_found(self, tmp_path, read):
+        with pytest.raises(FileNotFoundError):
+            read(tmp_path / "absent")
 
 
 class TestManifest:
