@@ -14,6 +14,7 @@ import functools
 import json
 import logging
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -34,7 +35,7 @@ from .dataset_io import (
     write_mask,
 )
 from .engine import OmsParams, _kernels_for, oms_frame, oms_sequence
-from .errors import OmsError
+from .errors import OmsError, _json
 from .events import bin_events
 from .kernels import kernel_to_text, make_feathered_kernel
 from .metrics import evaluate_sequence
@@ -44,6 +45,7 @@ log = logging.getLogger("oms")
 
 RUN_MANIFEST_NAME = "run.json"
 PRED_PATTERN = "oms_{:05d}.pgm"
+OVERLAY_PATTERN = "overlay_{:05d}.pgm"
 
 
 def _setup_logging():
@@ -153,27 +155,39 @@ def _timed(timings: dict, stage: str):
 @handle_errors
 def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags):
     """Run OMS over a dataset and write one mask per ground-truth timestamp."""
-    config_doc = _read_json(config_path, "run config") if config_path else {}
-    params = resolve_params(config_doc, **flags)
-    if emit_overlays is None:
-        emit_overlays = bool(config_doc.get("emit_overlays", False))
-    n_threads = _resolve_threads(threads if threads is not None else config_doc.get("threads"))
+
+    def settings(doc: dict):
+        """Flags override run-config fields, which override the defaults."""
+        overlays = doc.get("emit_overlays", False) if emit_overlays is None else emit_overlays
+        overlays = _json("emit_overlays", overlays, bool)
+        return resolve_params(doc, **flags), overlays, doc.get("threads")
+
+    params, overlays, config_threads = (
+        _read_json(config_path, "run config", settings) if config_path else settings({}))
+    n_threads = _resolve_threads(threads if threads is not None else config_threads)
 
     timings: dict[str, float] = {}
     manifest, frames = build_frames(manifest_path, timings)
-    if emit_overlays:
+    if overlays:
         with _timed(timings, "load"):
             gts = _read_masks(manifest, manifest_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / RUN_MANIFEST_NAME).unlink(missing_ok=True)  # written last: marks a complete run
+    # So that --out holds one run, an earlier run's masks and overlays that
+    # this run does not rewrite are removed; the rest are overwritten in place.
+    patterns = (PRED_PATTERN, OVERLAY_PATTERN) if overlays else (PRED_PATTERN,)
+    written = {pattern.format(i) for pattern in patterns for i in range(len(frames))}
+    for path in out.iterdir():
+        if re.fullmatch(r"(oms|overlay)_\d{5,}\.pgm", path.name) and path.name not in written:
+            path.unlink()
     with _timed(timings, "score"):
         preds = oms_sequence(frames, params, threads=n_threads)
     with _timed(timings, "write"):
         for i, pred in enumerate(preds):
             write_mask(pred, out / PRED_PATTERN.format(i))
-            if emit_overlays:
-                _write_overlay(out / f"overlay_{i:05d}.pgm", frames[i], gts[i], pred)
+            if overlays:
+                _write_overlay(out / OVERLAY_PATTERN.format(i), frames[i], gts[i], pred)
     run_doc = {
         "format_version": dataset_io.FORMAT_VERSION,
         "manifest": str(Path(manifest_path).resolve()),
@@ -184,7 +198,7 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
         },
         "threads": n_threads,
         "frames": len(preds),
-        "emit_overlays": bool(emit_overlays),
+        "emit_overlays": overlays,
         "timings_ms": {stage: round(timings[stage], 3)
                        for stage in ("load", "bin", "score", "write")},
     }
@@ -232,7 +246,7 @@ def cmd_eval(pred_dir, manifest_path, out_path, verbose):
 @handle_errors
 def cmd_synth(scene_config, out_dir):
     """Generate a synthetic dataset from a scene config JSON file."""
-    config = SceneConfig.from_dict(_read_json(scene_config, "scene config"))
+    config = _read_json(scene_config, "scene config", SceneConfig.from_dict)
     events, masks, timestamps = generate_scene(config)
     manifest_path = write_dataset(out_dir, events, config.geometry, masks, timestamps)
     click.echo(f"wrote {len(masks)} frames, {len(events)} events; manifest at {manifest_path}")

@@ -26,14 +26,14 @@ import json
 import os
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
-from .events import _T_MAX, EVENT_DTYPE, SensorGeometry, as_event_array
+from .errors import OmsError, ParseError, ValidationError, _json
+from .events import _T_MAX, EVENT_DTYPE, SensorGeometry, _decode_geometry, as_event_array
 from .events import _check_bounds, _check_order_and_polarity, _check_timestamps
 
 MAGIC = b"EVT1"
@@ -78,7 +78,7 @@ def read_events(path) -> np.ndarray:
     with _open(path, "event file") as f:
         head = f.read(HEADER_SIZE)
         if head[:4] == MAGIC:
-            return _parse_native(f, head, path)
+            return _parse_native(f, _header_geometry(head, path), path)
         data = head + f.read()
     try:
         text = data.decode("ascii")
@@ -92,20 +92,24 @@ def read_events(path) -> np.ndarray:
 def event_file_geometry(path) -> SensorGeometry:
     """Sensor geometry from a native event file header."""
     with _open(path, "event file") as f:
-        head = f.read(HEADER_SIZE)
-    if head[:4] != MAGIC or len(head) < HEADER_SIZE:
+        return _header_geometry(f.read(HEADER_SIZE), path)
+
+
+def _header_geometry(head: bytes, path) -> SensorGeometry:
+    """The checked geometry in the first HEADER_SIZE bytes of a native file."""
+    if head[:4] != MAGIC:
         raise ParseError(f"{path}: not a native event file")
+    if len(head) < HEADER_SIZE:
+        raise ParseError(f"{path}: truncated header at byte offset {len(head)}")
     try:
         return SensorGeometry(*struct.unpack("<HH", head[4:8])).validate()
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _parse_native(f, head: bytes, path: Path) -> np.ndarray:
+def _parse_native(f, geometry: SensorGeometry, path: Path) -> np.ndarray:
     """Records of an open native file positioned just past its header."""
-    if len(head) < HEADER_SIZE:
-        raise ParseError(f"{path}: truncated header at byte offset {len(head)}")
-    w, h = struct.unpack("<HH", head[4:8])
+    w, h = geometry
     body = os.fstat(f.fileno()).st_size - HEADER_SIZE
     if body % RECORD_SIZE:
         raise ParseError(
@@ -211,9 +215,10 @@ def read_mask(path, geometry: SensorGeometry | None = None) -> np.ndarray:
 # --- manifests and whole datasets -------------------------------------------
 
 
-def _read_json(path, what: str) -> dict:
-    """The JSON object in a UTF-8 file. ParseError names the path when the
-    file is missing, cannot be read, is not UTF-8 JSON or is not an object."""
+def _read_json(path, what: str, decode=dict):
+    """decode(doc) for the JSON object doc in a UTF-8 file. ParseError names
+    the path when the file is missing, cannot be read, is not UTF-8 JSON or
+    not an object, and when decode raises KeyError or an OmsError."""
     path = Path(path)
     try:
         with _open(path, what) as f:
@@ -222,9 +227,12 @@ def _read_json(path, what: str) -> dict:
         raise ParseError(f"{path}: {what} not found") from exc
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise ParseError(f"{path}: malformed {what}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: {what} must be a JSON object")
-    return doc
+    try:
+        return decode(_json(what, doc))
+    except KeyError as exc:
+        raise ParseError(f"{path}: malformed {what}: missing field {exc}") from exc
+    except OmsError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def mask_filename(index: int) -> str:
@@ -241,40 +249,21 @@ class DatasetManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "geometry", SensorGeometry(*self.geometry).validate())
+        for name in ("event_file", "mask_dir", "source"):
+            _json(name, getattr(self, name), str, ValidationError)
         object.__setattr__(self, "mask_timestamps",
                            tuple(_check_timestamps(self.mask_timestamps).tolist()))
 
     def save(self, path) -> None:
-        doc = {
-            "geometry": {"width": self.geometry.width, "height": self.geometry.height},
-            "event_file": self.event_file,
-            "mask_dir": self.mask_dir,
-            "mask_timestamps": list(self.mask_timestamps),
-            "source": self.source,
-        }
+        doc = {**asdict(self), "geometry": self.geometry._asdict()}
         _write_file(path, (json.dumps(doc, indent=2) + "\n").encode())
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
-        path = Path(path)
-        doc = _read_json(path, "manifest")
-        try:
-            geometry, timestamps = doc["geometry"], doc["mask_timestamps"]
-            strings = {k: doc[k] for k in ("event_file", "mask_dir")}
-            strings["source"] = doc.get("source", "native")
-            if not isinstance(geometry, dict):
-                raise ParseError(f"{path}: geometry must be an object")
-            if not isinstance(timestamps, list):
-                raise ParseError(f"{path}: mask_timestamps must be a list")
-            for key, value in strings.items():
-                if not isinstance(value, str):
-                    raise ParseError(f"{path}: {key} must be a string")
-            return cls(SensorGeometry(geometry["width"], geometry["height"]),
-                       mask_timestamps=timestamps, **strings)
-        except KeyError as exc:
-            raise ParseError(f"{path}: manifest missing field {exc}") from exc
-        except ValidationError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+        return _read_json(path, "manifest", lambda doc: cls(
+            _decode_geometry(doc["geometry"]), doc["event_file"], doc["mask_dir"],
+            _json("mask_timestamps", doc["mask_timestamps"], list),
+            doc.get("source", "native")))
 
     def resolve(self, base) -> tuple[Path, Path]:
         """Event file and mask dir paths, relative to the manifest location."""
@@ -436,10 +425,4 @@ def _read_meta_geometry(src: Path) -> SensorGeometry:
     meta = src / "meta.json"
     if not meta.exists():
         return SensorGeometry(346, 260)
-    doc = _read_json(meta, "meta file")
-    try:
-        return SensorGeometry(doc["width"], doc["height"]).validate()
-    except KeyError as exc:
-        raise ParseError(f"{meta}: malformed meta file: missing field {exc}") from exc
-    except ValidationError as exc:
-        raise ParseError(f"{meta}: {exc}") from exc
+    return _read_json(meta, "meta file", _decode_geometry)

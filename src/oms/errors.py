@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the one rule for
-numeric fields."""
+numeric fields and the one for JSON kinds."""
 
 import numpy as np
 
@@ -29,4 +29,13 @@ def _check_number(error: type, name: str, value, integral: bool, lo, hi, open: b
             or not (lo < value < hi if open else lo <= value <= hi)):
         raise error(f"{name} must be {'an integer' if integral else 'a number'} in "
                     f"{'(' if open else '['}{lo}, {hi}{')' if open else ']'}, got {value!r}")
+    return value
+
+
+def _json(what: str, value, kind: type = dict, error: type = ParseError):
+    """`value` unchanged if it is a JSON object, array, string or boolean as
+    `kind` is dict, list, str or bool; else raises `error`."""
+    if not isinstance(value, kind):
+        name = {dict: "a JSON object", list: "a JSON array", str: "a string", bool: "a boolean"}
+        raise error(f"{what} must be {name[kind]}, got {type(value).__name__}")
     return value

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError, _check_number
+from .errors import ValidationError, _check_number, _json
 
 # 13 bytes packed, little-endian: matches the on-disk record layout exactly.
 EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
@@ -46,6 +46,11 @@ class SensorGeometry(NamedTuple):
     def shape(self) -> tuple[int, int]:
         """(rows, cols) shape of frames on this sensor."""
         return (self.height, self.width)
+
+
+def _decode_geometry(doc) -> SensorGeometry:
+    """The checked geometry of a JSON {"width": W, "height": H} object."""
+    return SensorGeometry(_json("geometry", doc)["width"], doc["height"]).validate()
 
 
 class Event(NamedTuple):

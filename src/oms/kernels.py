@@ -23,6 +23,12 @@ class Kernel:
     sigma: float
     weights: np.ndarray
 
+    def __post_init__(self):
+        _check_number(ParameterError, "kernel radius", self.radius, True, 1, math.inf)
+        if np.shape(self.weights) != (self.size, self.size):
+            raise ParameterError(f"radius-{self.radius} kernel weights must be "
+                                 f"{self.size}x{self.size}, got shape {np.shape(self.weights)}")
+
     @property
     def size(self) -> int:
         return 2 * self.radius

@@ -15,12 +15,12 @@ never depend on camera velocity or noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, _check_number
-from .events import _MAX_SIDE, EVENT_DTYPE, SensorGeometry, bin_events
+from .errors import ParameterError, ParseError, _check_number, _json
+from .events import _MAX_SIDE, EVENT_DTYPE, SensorGeometry, _decode_geometry, bin_events
 from .metrics import _areas, _br
 
 FRAME_DT_US = 1000
@@ -85,31 +85,16 @@ class SceneConfig:
                 raise ParameterError(f"object of extent {extent} does not fit a {w}x{h} frame")
 
     def to_dict(self) -> dict:
-        return {
-            "geometry": {"width": self.geometry.width, "height": self.geometry.height},
-            "n_frames": self.n_frames,
-            "bg_density": self.bg_density,
-            "camera_velocity": list(self.camera_velocity),
-            "objects": [
-                {
-                    "shape": o.shape,
-                    "size": o.size,
-                    "velocity": list(o.velocity),
-                    "start": list(o.start),
-                }
-                for o in self.objects
-            ],
-            "noise_rate": self.noise_rate,
-            "seed": self.seed,
-        }
+        """The JSON document that from_dict reads; pairs stay tuples."""
+        return {**asdict(self), "geometry": self.geometry._asdict(),
+                "objects": [asdict(o) for o in self.objects]}
 
     @classmethod
     def from_dict(cls, d) -> "SceneConfig":
         """ParseError names a missing field or a part of the wrong JSON type."""
         try:
-            geometry = _json("geometry", _json("scene config", d)["geometry"])
             return cls(
-                geometry=SensorGeometry(geometry["width"], geometry["height"]),
+                geometry=_decode_geometry(_json("scene config", d)["geometry"]),
                 n_frames=d["n_frames"],
                 bg_density=d["bg_density"],
                 camera_velocity=d["camera_velocity"],
@@ -123,13 +108,6 @@ class SceneConfig:
             )
         except KeyError as exc:
             raise ParseError(f"scene config missing field {exc}") from exc
-
-
-def _json(what: str, doc, kind: type = dict):
-    if not isinstance(doc, kind):
-        raise ParseError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
-                         f"got {type(doc).__name__}")
-    return doc
 
 
 def _object_footprint(obj: SceneObject, frame_index: int, shape: tuple[int, int]) -> np.ndarray:

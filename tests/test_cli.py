@@ -14,10 +14,15 @@ from hypothesis import strategies as st
 
 from oms import engine
 from oms.cli import _resolve_threads, main
-from oms.dataset_io import DatasetManifest, mask_filename, read_events, read_mask, write_dataset
+from oms.dataset_io import (
+    DatasetManifest, ParseError, import_evimo, mask_filename, read_events, read_mask,
+    write_dataset,
+)
 from oms.events import accumulate_frame, window_events
 from oms.synthetic import SceneConfig, SceneObject, generate_scene
 from oms.events import SensorGeometry
+
+from test_dataset_io import build_evimo_fixture
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +175,40 @@ class TestRun:
             assert len(overlay) < 20_000
             assert overlay == (fresh / f"overlay_{i:05d}.pgm").read_bytes()
         assert json.loads((out / "run.json").read_text())["emit_overlays"] is True
+
+    def test_rerun_without_overlays_removes_them(self, dataset, tmp_path):
+        manifest_path, n = dataset
+        out = tmp_path / "run"
+        args = ["run", "--manifest", manifest_path, "--out", out, "--alpha", 0.13]
+        assert run_cli(*args, "--emit-overlays").exit_code == 0
+        assert len(list(out.glob("overlay_*.pgm"))) == n
+        result = run_cli(*args)
+        assert result.exit_code == 0, result.output
+        assert not list(out.glob("overlay_*.pgm"))
+        assert len(list(out.glob("oms_*.pgm"))) == n
+
+    def test_shorter_rerun_removes_stale_masks(self, dataset, tmp_path):
+        # A 3-frame run into the --out of a 12-frame run leaves 3 masks and
+        # overlays; the files it rewrites keep their inode (overwritten in
+        # place), and files of other names are kept.
+        manifest_path, n = dataset
+        short = dataset_copy(manifest_path, tmp_path / "short")
+        doc = json.loads(short.read_text())
+        short.write_text(json.dumps({**doc, "mask_timestamps": doc["mask_timestamps"][:3]}))
+        out = tmp_path / "run"
+        assert run_cli("run", "--manifest", manifest_path, "--out", out,
+                       "--emit-overlays").exit_code == 0
+        kept = [out / "notes.txt", out / "oms_final.pgm", out / "oms_0001.pgm"]
+        for path in kept:
+            path.write_text("keep")
+        inode = (out / "oms_00000.pgm").stat().st_ino
+        result = run_cli("run", "--manifest", short, "--out", out, "--emit-overlays")
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out.glob("o*_0*.pgm")) == sorted(
+            [f"oms_{i:05d}.pgm" for i in range(3)] + [f"overlay_{i:05d}.pgm" for i in range(3)]
+            + ["oms_0001.pgm"])
+        assert all(path.read_text() == "keep" for path in kept)
+        assert (out / "oms_00000.pgm").stat().st_ino == inode
 
     def test_failed_rerun_leaves_no_run_json(self, dataset, tmp_path):
         # run.json is removed before the first mask is written and written
@@ -582,6 +621,88 @@ class TestUnreadableInput:
         result = run_cli(*args)
         assert result.exit_code == 2, result.output
         assert f"error: {path}: cannot read {what}: " in result.output
+
+
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def changed(**fields):
+    return lambda doc: {**doc, **fields}
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# Readers of every JSON input document: each writes doc where its reader
+# looks and returns (that path, the CLI result or the ParseError text).
+def read_manifest(doc, manifest, tmp):
+    path = write_json(dataset_copy(manifest, tmp / "ds"), doc)
+    return path, run_cli("run", "--manifest", path, "--out", tmp / "o")
+
+
+def read_meta(doc, manifest, tmp):
+    build_evimo_fixture(tmp / "evimo", np.random.default_rng(0))
+    path = write_json(tmp / "evimo" / "meta.json", doc)
+    with pytest.raises(ParseError) as info:
+        import_evimo(tmp / "evimo", tmp / "native")
+    return path, str(info.value)
+
+
+def read_scene(doc, manifest, tmp):
+    path = write_json(tmp / "scene.json", doc)
+    return path, run_cli("synth", path, "--out", tmp / "ds")
+
+
+def read_run_config(doc, manifest, tmp):
+    path = write_json(tmp / "cfg.json", doc)
+    return path, run_cli("run", "--manifest", manifest, "--out", tmp / "o", "--config", path)
+
+
+# Each document's reader and a valid document to break.
+JSON_DOCUMENTS = {
+    "manifest": (read_manifest, {
+        "geometry": {"width": 64, "height": 48}, "event_file": "events.evt",
+        "mask_dir": "masks", "mask_timestamps": [1000, 2000], "source": "native"}),
+    "meta": (read_meta, {"width": 32, "height": 24}),
+    "scene config": (read_scene, scene_doc()),
+    "run config": (read_run_config, {"alpha": 0.13}),
+}
+# (document, what is wrong, edit of the valid document). A run config has
+# no required field, so it has no missing-field case.
+BAD_DOCUMENTS = [
+    ("manifest", "not an object", lambda doc: [doc]),
+    ("manifest", "missing field", without("mask_dir")),
+    ("manifest", "wrong kind", changed(mask_timestamps={"0": 1000})),
+    ("manifest", "out of range", changed(geometry={"width": 70000, "height": 48})),
+    ("meta", "not an object", lambda doc: [doc]),
+    ("meta", "missing field", without("height")),
+    ("meta", "wrong kind", changed(width="32")),
+    ("meta", "out of range", changed(width=0)),
+    ("scene config", "not an object", lambda doc: "scene"),
+    ("scene config", "missing field", without("objects")),
+    ("scene config", "wrong kind", changed(objects={"shape": "disk"})),
+    ("scene config", "out of range", changed(geometry={"width": 70000, "height": 8})),
+    ("run config", "not an object", lambda doc: [doc]),
+    ("run config", "wrong kind", changed(emit_overlays="false")),
+    ("run config", "out of range", changed(alpha=2)),
+]
+
+
+@pytest.mark.parametrize("document, what, edit", BAD_DOCUMENTS,
+                         ids=[f"{d}-{w}" for d, w, _ in BAD_DOCUMENTS])
+def test_bad_json_document_names_its_file(dataset, tmp_path, document, what, edit):
+    # Every JSON input is read by one reader: a bad document is a ParseError
+    # (exit 2 from the CLI) whose message starts with the document's path.
+    read, valid = JSON_DOCUMENTS[document]
+    path, result = read(edit(valid), dataset[0], tmp_path)
+    if isinstance(result, str):
+        assert result.startswith(f"{path}: ")
+    else:
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}: " in result.output
 
 
 def mutated(draw, data: bytes) -> bytes:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oms import EVENT_DTYPE, Event, OmsError, SensorGeometry, as_event_array
+from oms import EVENT_DTYPE, Event, OmsError, SensorGeometry, ValidationError, as_event_array
 from oms.dataset_io import (
     DatasetManifest,
     ParseError,
@@ -62,6 +62,17 @@ class TestEventFiles:
         path.write_bytes(b"EVT1" + struct.pack("<HH", 0, 10) + b"\x00" * 8)
         with pytest.raises(ParseError, match=r"zero.evt: width must be an integer in \[1, 65535\], got 0$"):
             event_file_geometry(path)
+
+    @pytest.mark.parametrize("records", [0, 1])
+    def test_zero_width_header_read(self, tmp_path, records):
+        # read_events decodes the header as event_file_geometry does, so a
+        # width of 0 is refused with or without records.
+        path = tmp_path / "zero.evt"
+        record = struct.pack("<QHHb", 1, 0, 3, 1)
+        path.write_bytes(b"EVT1" + struct.pack("<HH", 0, 10) + b"\x00" * 8 + record * records)
+        message = r"zero.evt: width must be an integer in \[1, 65535\], got 0$"
+        with pytest.raises(ParseError, match=message):
+            read_events(path)
 
     def test_hand_built_record(self, tmp_path):
         header = b"EVT1" + struct.pack("<HH", 10, 10) + b"\x00" * 8
@@ -304,6 +315,14 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         manifest.save(path)
         assert DatasetManifest.load(path) == manifest
+
+    @pytest.mark.parametrize("fields", [
+        {"event_file": 5}, {"mask_dir": None}, {"source": ("native",)},
+    ], ids=["event_file", "mask_dir", "source"])
+    def test_string_fields_checked_on_construction(self, fields):
+        with pytest.raises(ValidationError, match="must be a string"):
+            DatasetManifest(**{"geometry": (64, 48), "event_file": "e.evt", "mask_dir": "m",
+                               "mask_timestamps": (1, 2), **fields})
 
     def test_nonincreasing_timestamps_rejected(self):
         with pytest.raises(Exception):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oms import ParameterError, kernel_to_text, make_feathered_kernel
+from oms import Kernel, ParameterError, kernel_to_text, make_feathered_kernel
 from oms.kernels import difference_kernel
 
 RADII = range(1, 17)
@@ -69,6 +69,21 @@ def test_invalid_parameters():
         make_feathered_kernel(2, 0.0)
     with pytest.raises(ParameterError):
         make_feathered_kernel(2, -1.0)
+
+
+@pytest.mark.parametrize("radius, weights", [
+    (2, np.ones((3, 3)) / 9),
+    ("2", np.ones((4, 4)) / 16),
+    (2, np.ones(16) / 16),
+    (0, np.ones((0, 0))),
+    (2.0, np.ones((4, 4)) / 16),
+    (True, np.ones((2, 2)) / 4),
+], ids=["3x3_weights", "str_radius", "flat_weights", "zero_radius", "float_radius", "bool_radius"])
+def test_kernel_checks_its_fields(radius, weights):
+    # A Kernel holds an integer radius >= 1 and (2r, 2r) weights, so the
+    # scorers never reshape or index a kernel of another shape.
+    with pytest.raises(ParameterError):
+        Kernel(radius, 1.0, weights)
 
 
 @pytest.mark.parametrize("radius, sigma", [(4, 1e-3), (2, float("nan")), (2, float("inf"))])
