@@ -33,8 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OmsError, ParseError, ValidationError, _json
-from .events import _T_MAX, EVENT_DTYPE, SensorGeometry, _decode_geometry, as_event_array
-from .events import _check_bounds, _check_order_and_polarity, _check_timestamps
+from .events import _T_MAX, EVENT_DTYPE, SensorGeometry, _as_geometry, _decode_geometry
+from .events import _check_bounds, _check_order_and_polarity, _check_timestamps, as_event_array
 
 MAGIC = b"EVT1"
 HEADER_SIZE = 16
@@ -46,7 +46,7 @@ CSV_HEADER = "t,x,y,p"
 
 def write_events(events, geometry: SensorGeometry, path) -> None:
     """Write the native binary event format (validates bounds first)."""
-    geometry = SensorGeometry(*geometry).validate()
+    geometry = _as_geometry(geometry)
     ev = as_event_array(events)
     _check_order_and_polarity(ev)
     _check_bounds(ev, geometry)
@@ -248,7 +248,7 @@ class DatasetManifest:
     source: str = "native"
 
     def __post_init__(self):
-        object.__setattr__(self, "geometry", SensorGeometry(*self.geometry).validate())
+        object.__setattr__(self, "geometry", _as_geometry(self.geometry))
         for name in ("event_file", "mask_dir", "source"):
             _json(name, getattr(self, name), str, ValidationError)
         object.__setattr__(self, "mask_timestamps",

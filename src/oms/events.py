@@ -37,15 +37,25 @@ class SensorGeometry(NamedTuple):
     height: int
 
     def validate(self) -> "SensorGeometry":
-        """self, once width and height are integers in [1, _MAX_SIDE]."""
-        for name, value in zip(self._fields, self):
-            _check_number(ValidationError, name, value, True, 1, _MAX_SIDE)
-        return self
+        """This geometry with Python int sides, once width and height are
+        integers in [1, _MAX_SIDE]."""
+        return SensorGeometry(*(int(_check_number(ValidationError, name, value, True, 1, _MAX_SIDE))
+                                for name, value in zip(self._fields, self)))
 
     @property
     def shape(self) -> tuple[int, int]:
         """(rows, cols) shape of frames on this sensor."""
         return (self.height, self.width)
+
+
+def _as_geometry(geometry) -> SensorGeometry:
+    """The checked SensorGeometry of a (width, height) pair."""
+    try:
+        width, height = geometry
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"geometry must be a (width, height) pair, got {geometry!r}") from None
+    return SensorGeometry(width, height).validate()
 
 
 def _decode_geometry(doc) -> SensorGeometry:
@@ -105,6 +115,9 @@ def _check_bounds(events: np.ndarray, geometry: SensorGeometry) -> None:
 def _check_timestamps(mask_timestamps: Sequence[int]) -> np.ndarray:
     """Mask timestamps as int64, once each is an integer that fits int64 and
     they strictly increase; else raises ValidationError."""
+    if not np.iterable(mask_timestamps):
+        raise ValidationError("mask timestamps must be a sequence of integers, "
+                              f"got {type(mask_timestamps).__name__}")
     ts = np.array([_check_number(ValidationError, "mask timestamp", t, True, -_T_MAX - 1, _T_MAX)
                    for t in mask_timestamps], dtype=np.int64)
     if np.any(ts[1:] <= ts[:-1]):
@@ -142,7 +155,7 @@ def bin_events(
     Order and polarity are checked once over the whole stream, bounds
     over the events that land in a window.
     """
-    geometry = SensorGeometry(*geometry).validate()
+    geometry = _as_geometry(geometry)
     ev = as_event_array(stream)
     bounds = _window_bounds(_check_order_and_polarity(ev), mask_timestamps)
     _check_bounds(ev[: bounds[-1]], geometry)
@@ -169,7 +182,7 @@ def accumulate_frame(window: EventsLike, geometry: SensorGeometry) -> np.ndarray
     Polarity is ignored ("compressed") on purpose. Returns a uint8 array of
     shape (height, width) with values in {0, 1}.
     """
-    geometry = SensorGeometry(*geometry).validate()
+    geometry = _as_geometry(geometry)
     ev = as_event_array(window)
     _check_bounds(ev, geometry)
     return _paint(ev, (0, len(ev)), geometry)[0]

@@ -7,9 +7,11 @@ output, the ground truth is the DVS frame ANDed with the motion mask.
 Frames whose masked ground truth is empty carry no signal and are skipped
 (counted, not scored).
 
-The per-frame metrics and the sequence report share one pixel count
-(_areas) and one rule each for IoU and detection (_rules) and for the ratio
-(_br): iou, detection, score_frame and bf_ratio are one-frame views.
+One count (_counts) takes each frame's active, intersection, prediction and
+ground-truth pixels in turn, with no (T, H, W) copy of a sequence; IoU and
+detection have one rule (_rules), the ratio one formula (_br). iou,
+detection, score_frame and bf_ratio are one-frame calls of it and accept
+any 2-D array-like, nested lists included.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ IOU_SKIP = float("nan")
 
 def iou(pred: np.ndarray, gt: np.ndarray) -> float:
     """Intersection over union; NaN (IOU_SKIP) when both masks are empty."""
-    inter, pred_area, gt_area = _pair_areas(pred, gt)
+    _, inter, pred_area, gt_area = _counts([(pred, gt, None)])
     return _frame_scores(inter, pred_area, gt_area)[0].iou if pred_area + gt_area else IOU_SKIP
 
 
@@ -41,10 +43,8 @@ def detection(pred: np.ndarray, gt: np.ndarray) -> bool:
 def bf_ratio(dvs_frame: np.ndarray, gt: np.ndarray) -> float:
     """Active DVS pixels outside the ground truth divided by those inside;
     +inf when nothing is active inside."""
-    inside, active, _ = _pair_areas(dvs_frame, gt)
-    if inside[0] == 0:
-        return math.inf
-    return float(_br(active, inside)[0])
+    _, inside, active, _ = _counts([(dvs_frame, gt, None)])
+    return float(_br(active, inside)[0]) if inside[0] else math.inf
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class FrameScore:
 
 def score_frame(pred: np.ndarray, gt: np.ndarray) -> FrameScore:
     """Score one evaluated frame (gt must be non-empty)."""
-    inter, pred_area, gt_area = _pair_areas(pred, gt)
+    _, inter, pred_area, gt_area = _counts([(pred, gt, None)])
     if gt_area[0] == 0:
         raise ValidationError("cannot score a frame with empty ground truth")
     return _frame_scores(inter, pred_area, gt_area)[0]
@@ -95,17 +95,7 @@ def evaluate_sequence(
         raise ValidationError(
             f"length mismatch: {len(preds)} preds, {len(gts)} gts, {len(dvs_frames)} frames"
         )
-    dvs = _bool_stack(dvs_frames, "frame")
-    gt_m = _bool_stack(gts, "mask")
-    pred_m = _bool_stack(preds, "mask")
-    if not (dvs.shape == gt_m.shape == pred_m.shape):
-        raise ValidationError(
-            f"shape mismatch: frames {dvs.shape}, gts {gt_m.shape}, preds {pred_m.shape}"
-        )
-    gt_m &= dvs
-    pred_m &= dvs
-    active = _frame_counts(dvs)
-    inter, pred_area, gt_area = _areas(pred_m, gt_m)
+    active, inter, pred_area, gt_area = _counts(zip(preds, gts, dvs_frames))
     keep = gt_area > 0
     inter, pred_area, gt_area, active = (c[keep] for c in (inter, pred_area, gt_area, active))
     ious, _, detected = _rules(inter, pred_area, gt_area)
@@ -124,19 +114,29 @@ def evaluate_sequence(
     return report, [next(scores) if k else None for k in keep]
 
 
-def _areas(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame (intersection, prediction, ground-truth) pixel counts of two
-    equal-shape bool stacks; ANDs gt into pred in place."""
-    pred_area, gt_area = _frame_counts(pred), _frame_counts(gt)
-    pred &= gt
-    return _frame_counts(pred), pred_area, gt_area
-
-
-def _pair_areas(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_areas of one pair of masks, each count an array of length one."""
-    if pred.shape != gt.shape:
-        raise ValidationError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    return _areas(pred.astype(bool)[None], gt.astype(bool)[None])
+def _counts(frames) -> np.ndarray:
+    """Per-frame (active, intersection, prediction, ground-truth) pixel counts,
+    a (4, T) int64 array, of an iterable of T (pred, gt, dvs) frame triples:
+    pred and gt are ANDed with the DVS frame dvs, and dvs None means every
+    pixel is active. All inputs are 2-D and of one shape across the frames."""
+    counts, shape = [], None
+    for k, (pred, gt, dvs) in enumerate(frames):
+        try:
+            pred, gt = np.asarray(pred).astype(bool), np.asarray(gt).astype(bool)
+            dvs = np.ones_like(pred) if dvs is None else np.asarray(dvs).astype(bool)
+        except ValueError as exc:  # a ragged nested list
+            raise ValidationError(f"frame {k} is not an array: {exc}") from exc
+        shape = shape or pred.shape
+        if len(shape) != 2 or not pred.shape == gt.shape == dvs.shape == shape:
+            raise ValidationError(
+                f"shape mismatch at frame {k}: prediction {pred.shape}, ground truth "
+                f"{gt.shape}, DVS frame {dvs.shape}; each must be 2-D and {shape}")
+        gt &= dvs
+        pred &= dvs
+        pred_area, gt_area = np.count_nonzero(pred), np.count_nonzero(gt)
+        pred &= gt
+        counts.append((np.count_nonzero(dvs), np.count_nonzero(pred), pred_area, gt_area))
+    return np.array(counts, dtype=np.int64).reshape(-1, 4).T
 
 
 def _rules(inter, pred_area, gt_area):
@@ -157,19 +157,3 @@ def _frame_scores(inter, pred_area, gt_area) -> list[FrameScore]:
     ious, outside, detected = _rules(inter, pred_area, gt_area)
     return [FrameScore(float(v), bool(d), int(g), int(i), int(o))
             for v, d, g, i, o in zip(ious, detected, gt_area, inter, outside)]
-
-
-def _bool_stack(frames: Sequence[np.ndarray], what: str) -> np.ndarray:
-    """A (T, H, W) bool copy of a sequence (or stack) of equal-shape 2D frames."""
-    try:
-        stack = np.array(list(frames), dtype=bool)
-    except ValueError as exc:  # frames of different shapes
-        raise ValidationError(f"shape mismatch between {what}s: {exc}") from exc
-    if len(stack) and stack.ndim != 3:
-        raise ValidationError(f"each {what} must be 2D, got shape {stack.shape[1:]}")
-    return stack
-
-
-def _frame_counts(stack: np.ndarray) -> np.ndarray:
-    """Nonzero count of each frame of a bool stack."""
-    return np.array([np.count_nonzero(frame) for frame in stack], dtype=np.int64)

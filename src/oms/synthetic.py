@@ -20,8 +20,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterError, ParseError, _check_number, _json
-from .events import _MAX_SIDE, EVENT_DTYPE, SensorGeometry, _decode_geometry, bin_events
-from .metrics import _areas, _br
+from .events import _MAX_SIDE, EVENT_DTYPE, SensorGeometry, _as_geometry, _decode_geometry
+from .events import bin_events
+from .metrics import evaluate_sequence
 
 FRAME_DT_US = 1000
 
@@ -66,7 +67,7 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "geometry", SensorGeometry(*self.geometry).validate())
+        object.__setattr__(self, "geometry", _as_geometry(self.geometry))
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "camera_velocity",
                            _pair("camera_velocity", self.camera_velocity, -_MAX_SIDE))
@@ -187,7 +188,8 @@ def generate_scene(
 
 
 def scene_br(config: SceneConfig) -> float:
-    """Mean background-to-foreground ratio over the generated frames.
+    """Mean background-to-foreground ratio over the generated frames, the
+    br_mean of evaluate_sequence on the binned frames.
 
     Frames with no activity inside the ground truth are excluded; if every
     frame is excluded the result is +inf.
@@ -195,7 +197,5 @@ def scene_br(config: SceneConfig) -> float:
     if not config.objects:
         raise ParameterError("scene_br needs at least one object")
     events, masks, timestamps = generate_scene(config)
-    frames = bin_events(events, timestamps, config.geometry).view(bool)  # 0/1 uint8
-    inside, active, _ = _areas(frames, np.array(masks, dtype=bool))
-    keep = inside > 0
-    return float(np.mean(_br(active[keep], inside[keep]))) if keep.any() else math.inf
+    report = evaluate_sequence(masks, masks, bin_events(events, timestamps, config.geometry))
+    return report.br_mean if report.frames_evaluated else math.inf

@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,12 @@ class TestEventFiles:
         with pytest.raises(ParseError, match="byte offset 29"):
             read_events(path)
 
+    def test_csv_file_has_no_header_geometry(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_text("t,x,y,p\n1,2,3,1\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not a native event file$"):
+            event_file_geometry(path)
+
     def test_csv_fallback(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("t,x,y,p\n1,2,3,1\n5,4,0,-1\n")
@@ -179,6 +186,12 @@ class TestMaskFiles:
         body = bytes([0, 128, 255, 7])
         path.write_bytes(b"P5\n2 2\n255\n" + body)
         assert np.array_equal(read_mask(path), [[0, 1], [1, 1]])
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 4, 4)])
+    def test_write_rejects_non_2d(self, tmp_path, shape):
+        with pytest.raises(ValidationError, match=re.escape(f"mask must be 2D, got shape {shape}")):
+            write_mask(np.zeros(shape, np.uint8), tmp_path / "m.pgm")
+        assert not (tmp_path / "m.pgm").exists()
 
     def test_geometry_mismatch(self, tmp_path):
         path = tmp_path / "m.pgm"
@@ -366,6 +379,19 @@ class TestManifest:
         assert np.array_equal(events, ev)
         assert all(np.array_equal(a, b) for a, b in zip(masks, loaded))
 
+    def test_numpy_int_geometry_round_trip(self, tmp_path):
+        # json.dumps refused the numpy ints after the events and masks were written.
+        geometry = SensorGeometry(np.int64(8), np.int32(6))
+        manifest_path = write_dataset(tmp_path / "ds", [], geometry, [np.zeros((6, 8))], [1])
+        manifest, events, masks = load_dataset(manifest_path)
+        assert manifest.geometry == (8, 6) and len(events) == 0 and masks[0].shape == (6, 8)
+        assert json.loads(manifest_path.read_text())["geometry"] == {"width": 8, "height": 6}
+
+    def test_dataset_length_mismatch(self, tmp_path):
+        with pytest.raises(ValidationError, match="^2 masks but 1 timestamps$"):
+            write_dataset(tmp_path / "ds", [], GEOM, [np.zeros((48, 64))] * 2, [1])
+        assert not (tmp_path / "ds").exists()
+
 
 def build_evimo_fixture(root, rng):
     """Miniature directory in the documented EV-IMO adapter layout."""
@@ -531,6 +557,46 @@ class TestImporters:
         importer = import_evimo if layout == "evimo" else import_mod
         with pytest.raises(ParseError, match=r"meta\.json: " + match):
             importer(src, tmp_path / "native")
+
+    @pytest.mark.parametrize("layout", ["evimo", "mod"])
+    def test_import_empty_event_file(self, tmp_path, rng, layout):
+        src = tmp_path / "evimo"
+        build_evimo_fixture(src, rng)
+        if layout == "evimo":
+            (src / "events.txt").write_text("")
+        else:
+            np.save(src / "events.npy", np.empty((0, 4)))
+            np.save(src / "timestamps.npy", np.array([0.1, 0.2, 0.3]))
+        importer = import_evimo if layout == "evimo" else import_mod
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt: "input contained no data"
+            manifest = importer(src, tmp_path / "native")
+        _, events, masks = load_dataset(tmp_path / "native" / "manifest.json")
+        assert len(events) == 0 and len(masks) == 3 and manifest.source == layout
+
+    @pytest.mark.parametrize("change, match", [
+        ("not_n_by_4", r"events\.npy: expected shape \(N, 4\), got \(200, 3\)$"),
+        ("bad_polarity", r"events\.npy: polarity column must be 0/1 or -1/1$"),
+        ("no_masks", r"^no \.pgm masks found in .*masks$"),
+        ("mask_count", r"^2 masks but 3 timestamps$"),
+    ])
+    def test_import_mod_rejects(self, tmp_path, rng, change, match):
+        src = tmp_path / "mod"
+        build_evimo_fixture(src, rng)
+        raw = np.loadtxt(src / "events.txt")
+        if change == "not_n_by_4":
+            raw = raw[:, :3]
+        elif change == "bad_polarity":
+            raw[5, 3] = 2.0
+        for i in {"no_masks": range(3), "mask_count": [2]}.get(change, []):
+            (src / "masks" / mask_filename(i)).unlink()
+        np.save(src / "events.npy", raw)
+        np.save(src / "timestamps.npy", np.loadtxt(src / "timestamps.txt"))
+        with pytest.raises(ParseError, match=match) as info:
+            import_mod(src, tmp_path / "native")
+        if change != "mask_count":  # the one message without a path
+            assert str(src) in str(info.value)
+        assert not (tmp_path / "native").exists()
 
     def test_import_mod_fixture(self, tmp_path, rng):
         src = tmp_path / "mod"

@@ -133,6 +133,10 @@ class TestFilterFrame:
         with pytest.raises(ValidationError):
             filter_frame(np.zeros((6, 6), np.uint8), k)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ParameterError, match="^unknown filter mode 'sparse'$"):
+            filter_frame(np.zeros((16, 16), np.uint8), make_feathered_kernel(2, 1.0), mode="sparse")
+
     def test_response_range(self, rng):
         for k in (make_feathered_kernel(2, 1.0), make_feathered_kernel(4, 2.0)):
             frame = (rng.random((32, 32)) < 0.5).astype(np.uint8)
@@ -486,6 +490,10 @@ class TestOmsFrame:
         scores = oms_scores(frame, OmsParams())
         assert np.max(np.abs(scores - golden)) < 1e-12
         assert np.array_equal(oms_frame(frame, OmsParams()), (golden > 0.96).astype(np.uint8))
+
+    def test_one_dimensional_frame_rejected(self):
+        with pytest.raises(ValidationError, match=r"^frame must be 2D, got shape \(64,\)$"):
+            oms_frame(np.zeros(64, np.uint8), OmsParams())
 
     def test_dense_shape_preserved(self, rng):
         frame = (rng.random((40, 56)) < 0.3).astype(np.uint8)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oms import (
+    EVENT_DTYPE,
     OmsError,
     OmsParams,
     ParameterError,
@@ -12,9 +13,12 @@ from oms import (
     SceneObject,
     SensorGeometry,
     ValidationError,
+    accumulate_frame,
     make_feathered_kernel,
+    window_events,
 )
-from oms.dataset_io import write_events
+from oms.dataset_io import DatasetManifest, write_events
+from oms.events import bin_events
 from oms.errors import _check_number
 
 
@@ -55,6 +59,22 @@ def test_rejected(tmp_path, build, error):
         "numpy_scene"])
 def test_accepted(build):
     build()
+
+
+EVENTS = np.zeros(2, dtype=EVENT_DTYPE)
+EVENTS["p"] = 1
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: DatasetManifest((64, 48), "e", "m", 5), "mask timestamps must be a sequence"),
+    (lambda: bin_events(EVENTS, 5, SensorGeometry(8, 8)), "mask timestamps must be a sequence"),
+    (lambda: window_events(EVENTS, None), "mask timestamps must be a sequence"),
+    (lambda: accumulate_frame(EVENTS, (8,)), r"geometry must be a \(width, height\) pair"),
+], ids=["manifest_timestamps", "bin_timestamps", "window_timestamps", "accumulate_geometry"])
+def test_wrong_kind_is_validation_error(call, match):
+    # Each raised TypeError ("not iterable", or a missing NamedTuple field).
+    with pytest.raises(ValidationError, match=match):
+        call()
 
 
 def test_message_names_field_interval_and_value():

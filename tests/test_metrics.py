@@ -130,6 +130,15 @@ class TestBfRatio:
         assert bf_ratio(frame, gt) == outside / inside
 
 
+@pytest.mark.parametrize("metric", [iou, detection, score_frame, bf_ratio])
+def test_nested_lists_match_arrays(rng, metric):
+    for _ in range(20):
+        a, b = ((rng.random((6, 7)) < 0.5).astype(np.uint8) for _ in range(2))
+        b[0, 0] = 1  # a non-empty ground truth, so every metric returns
+        assert metric(a.tolist(), b.tolist()) == metric(a, b)
+        assert metric(a.astype(bool).tolist(), b) == metric(a, b)
+
+
 class TestEvaluateSequence:
     def test_perfect_predictions(self):
         gt = block_mask((20, 20), 5, 15, 5, 15)
@@ -162,10 +171,19 @@ class TestEvaluateSequence:
         ([np.zeros((8, 8))], [np.zeros((8, 9))], [np.zeros((8, 8))]),
         ([np.zeros((8, 8))] * 2, [np.zeros((8, 8)), np.zeros((9, 8))], [np.zeros((8, 8))] * 2),
         ([np.zeros(8)], [np.zeros(8)], [np.zeros(8)]),
-    ], ids=["across", "within", "not_2d"])
+        ([np.zeros((8, 8)), np.zeros((9, 9))],) * 3,
+    ], ids=["across", "within", "not_2d", "frame_to_frame"])
     def test_shape_mismatch(self, preds, gts, dvs):
         with pytest.raises(ValidationError):
             evaluate_sequence(preds, gts, dvs)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    def test_inputs_unmodified(self, rng, dtype):
+        seqs = [[(rng.random((16, 16)) < 0.4).astype(dtype) for _ in range(4)] for _ in range(3)]
+        copies = [[f.copy() for f in seq] for seq in seqs]
+        evaluate_sequence(*seqs, with_frames=True)
+        for seq, copy in zip(seqs, copies):
+            assert all(f.dtype == dtype and np.array_equal(f, c) for f, c in zip(seq, copy))
 
     def test_order_invariance(self, rng):
         preds = [(rng.random((16, 16)) < 0.3).astype(np.uint8) for _ in range(8)]

@@ -94,6 +94,28 @@ class TestSceneBr:
         )
         assert scene_br(config) == 0.0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_frame_oracle(self, seed):
+        # Mean of outside / inside over the frames with activity inside the
+        # ground truth, with frames painted from the raw event columns.
+        config = small_scene(seed=seed, noise_rate=20.0)
+        events, masks, timestamps = generate_scene(config)
+        ratios = []
+        for k, (mask, t) in enumerate(zip(masks, timestamps)):
+            window = events[(events["t"] <= t) & (events["t"] > (timestamps[k - 1] if k else -1))]
+            frame = np.zeros(GEOM.shape, bool)
+            frame[window["y"], window["x"]] = True
+            inside = int((frame & (mask > 0)).sum())
+            if inside:
+                ratios.append(int((frame & (mask == 0)).sum()) / inside)
+        assert ratios and scene_br(config) == pytest.approx(np.mean(ratios), rel=0, abs=1e-12)
+
+    def test_no_activity_inside_is_inf(self):
+        # A static object under a static camera fires no event inside it.
+        config = small_scene(camera_velocity=(0.0, 0.0), noise_rate=0.0,
+                             objects=(SceneObject("rect", 6, (0.0, 0.0), (30.0, 20.0)),))
+        assert scene_br(config) == float("inf")
+
     def test_requires_objects(self):
         with pytest.raises(ParameterError):
             scene_br(small_scene(objects=()))
