@@ -35,7 +35,7 @@ from .dataset_io import (
     write_mask,
 )
 from .engine import OmsParams, _kernels_for, oms_frame, oms_sequence
-from .errors import OmsError, _json
+from .errors import OmsError, ParseError, ValidationError, _json
 from .events import bin_events
 from .kernels import kernel_to_text, make_feathered_kernel
 from .metrics import evaluate_sequence
@@ -123,14 +123,18 @@ def build_frames(manifest_path, timings: dict):
     """(manifest, (T, H, W) uint8 stack of binary frames) for a dataset.
 
     Records the "load" (manifest + events) and "bin" stages in timings, in
-    milliseconds.
+    milliseconds. A bad event (unsorted, or outside the manifest geometry)
+    raises a ParseError that starts with the event file's path.
     """
     with _timed(timings, "load"):
         manifest = DatasetManifest.load(manifest_path)
         event_path, _ = manifest.resolve(Path(manifest_path).parent)
         events = read_events(event_path)
     with _timed(timings, "bin"):
-        frames = bin_events(events, manifest.mask_timestamps, manifest.geometry)
+        try:
+            frames = bin_events(events, manifest.mask_timestamps, manifest.geometry)
+        except ValidationError as exc:
+            raise ParseError(f"{event_path}: {exc}") from exc
     return manifest, frames
 
 

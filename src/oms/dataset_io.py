@@ -6,6 +6,10 @@ Native event file (".evt"):
     8 reserved zero bytes; then 13-byte packed records
     t (u64 LE, microseconds), x (u16 LE), y (u16 LE), p (i8, -1 or +1).
     A CSV fallback with header line "t,x,y,p" is also accepted on read.
+    Both readers and write_events check records by oms.events' one rule;
+    read_events raises its ValidationError as a ParseError naming the file
+    and the record's byte offset or CSV line. Order is checked on write and
+    when a stream is binned, not on read.
 
 Masks are binary PGM (P5, maxval 255): 0 background, 255 moving object.
 Reads are tolerant (any nonzero byte decodes to 1, since public dataset
@@ -26,6 +30,7 @@ import json
 import os
 import re
 import struct
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -33,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OmsError, ParseError, ValidationError, _json
-from .events import _T_MAX, EVENT_DTYPE, SensorGeometry, _as_geometry, _decode_geometry
-from .events import _check_bounds, _check_order_and_polarity, _check_timestamps, as_event_array
+from .events import EVENT_DTYPE, SensorGeometry, _as_geometry, _check_order, _check_records
+from .events import _check_timestamps, _decode_geometry, _event_rows, _from_columns, as_event_array
 
 MAGIC = b"EVT1"
 HEADER_SIZE = 16
@@ -45,11 +50,11 @@ CSV_HEADER = "t,x,y,p"
 
 
 def write_events(events, geometry: SensorGeometry, path) -> None:
-    """Write the native binary event format (validates bounds first)."""
+    """Write the native binary event format (checks order and records first)."""
     geometry = _as_geometry(geometry)
     ev = as_event_array(events)
-    _check_order_and_polarity(ev)
-    _check_bounds(ev, geometry)
+    _check_order(ev)
+    _check_records(ev, geometry)
     header = MAGIC + struct.pack("<HH", geometry.width, geometry.height) + b"\x00" * 8
     _write_file(path, header + ev.tobytes())
 
@@ -75,17 +80,16 @@ def _open(path: Path, what: str):
 def read_events(path) -> np.ndarray:
     """Read a native binary event file (or the CSV fallback) into EVENT_DTYPE."""
     path = Path(path)
-    with _open(path, "event file") as f:
-        head = f.read(HEADER_SIZE)
-        if head[:4] == MAGIC:
-            return _parse_native(f, _header_geometry(head, path), path)
-        data = head + f.read()
     try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError:
-        text = None
-    if text is not None and text.lstrip().startswith(CSV_HEADER):
-        return _parse_csv(text, path)
+        with _open(path, "event file") as f:
+            head = f.read(HEADER_SIZE)
+            if head[:4] == MAGIC:
+                return _parse_native(f, _header_geometry(head, path))
+            text = (head + f.read()).decode("ascii", "replace")
+        if text.lstrip().startswith(CSV_HEADER):
+            return _parse_csv(text)
+    except ValidationError as exc:  # the record checks name the record, this the file
+        raise ParseError(f"{path}: {exc}") from exc
     raise ParseError(f"{path}: bad magic at byte offset 0 (not {MAGIC!r} or CSV)")
 
 
@@ -107,62 +111,27 @@ def _header_geometry(head: bytes, path) -> SensorGeometry:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _parse_native(f, geometry: SensorGeometry, path: Path) -> np.ndarray:
-    """Records of an open native file positioned just past its header."""
-    w, h = geometry
-    body = os.fstat(f.fileno()).st_size - HEADER_SIZE
-    if body % RECORD_SIZE:
-        raise ParseError(
-            f"{path}: truncated record at byte offset "
-            f"{HEADER_SIZE + (body // RECORD_SIZE) * RECORD_SIZE}"
-        )
-    events = np.fromfile(f, dtype=EVENT_DTYPE, count=body // RECORD_SIZE)
-    # abs(-128) wraps to -128 in int8, which still fails the test.
-    bad = (events["x"] >= w) | (events["y"] >= h) | (np.abs(events["p"]) != 1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ParseError(f"{path}: invalid record at byte offset {HEADER_SIZE + i * RECORD_SIZE}")
+def _parse_native(f, geometry: SensorGeometry) -> np.ndarray:
+    """Records of an open native file past its header, located by byte offset."""
+    n, tail = divmod(os.fstat(f.fileno()).st_size - HEADER_SIZE, RECORD_SIZE)
+    at = lambda i: f"byte offset {HEADER_SIZE + i * RECORD_SIZE}"
+    if tail:
+        raise ValidationError(f"truncated record at {at(n)}")
+    events = np.fromfile(f, dtype=EVENT_DTYPE, count=n)
+    _check_records(events, geometry, at)
     return events
 
 
-# Inclusive range of the t, x and y columns: x and y fit their EVENT_DTYPE
-# fields, t the int64 time that streams are windowed on; p is checked
-# against {-1, +1}.
-_CSV_RANGES = (("t", 0, _T_MAX),) + tuple(
-    (name, 0, int(np.iinfo(EVENT_DTYPE[name]).max)) for name in ("x", "y")
-)
-
-
-def _parse_csv(text: str, path: Path) -> np.ndarray:
+def _parse_csv(text: str) -> np.ndarray:
     """Rows after the header, the first non-blank line; blank lines are
     skipped and errors name the physical line."""
-    rows = []
-    lines = enumerate(text.splitlines(), start=1)
-    for _, line in lines:
-        if line.strip():
-            break
-    for lineno, line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"{path}: malformed CSV line {lineno}")
+    rows, lines = [], [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()][1:]
+    for n, line in lines:
         try:
-            row = tuple(int(v) for v in parts)
+            rows.append(tuple(map(int, line.split(","))))  # int() strips spaces around a value
         except ValueError as exc:
-            raise ParseError(f"{path}: malformed CSV line {lineno}: {exc}") from exc
-        for value, (name, lo, hi) in zip(row, _CSV_RANGES):
-            if not lo <= value <= hi:
-                raise ParseError(
-                    f"{path}: {name}={value} out of range [{lo}, {hi}] on CSV line {lineno}"
-                )
-        if row[3] not in (-1, 1):
-            raise ParseError(f"{path}: invalid polarity on CSV line {lineno}")
-        rows.append(row)
-    if not rows:
-        return np.empty(0, dtype=EVENT_DTYPE)
-    return np.array(rows, dtype=EVENT_DTYPE)
+            raise ValidationError(f"malformed CSV line {n}: {exc}") from exc
+    return _event_rows(rows, lambda i: f"CSV line {lines[i][0]}")
 
 
 # --- PGM masks -------------------------------------------------------------
@@ -314,11 +283,19 @@ def load_dataset(manifest_path):
 # --- external dataset importers ---------------------------------------------
 
 
+def _loadtxt(ndmin: int, path) -> np.ndarray:
+    """The whitespace-separated fields of a text file as strings; an empty
+    file gives no rows and no "input contained no data" warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, dtype=str, ndmin=ndmin)
+
+
 # source tag: (event file, timestamp file, event loader, timestamp loader,
 #              accepted polarity encodings as (off, on) pairs)
 _LAYOUTS = {
-    "evimo": ("events.txt", "timestamps.txt", functools.partial(np.loadtxt, dtype=str, ndmin=2),
-              functools.partial(np.loadtxt, dtype=str, ndmin=1), ((0, 1),)),
+    "evimo": ("events.txt", "timestamps.txt", functools.partial(_loadtxt, 2),
+              functools.partial(_loadtxt, 1), ((0, 1),)),
     "mod": ("events.npy", "timestamps.npy", np.load, np.load, ((0, 1), (-1, 1))),
 }
 
@@ -385,11 +362,7 @@ def _import(source: str, src_dir, out_dir) -> DatasetManifest:
         raise ParseError(f"{len(masks)} masks but {len(ts)} timestamps")
     t_us = _microseconds(t, path, "event")
     order = np.argsort(t_us, kind="stable")
-    events = np.empty(len(t_us), dtype=EVENT_DTYPE)
-    events["t"] = t_us[order]
-    events["x"] = x[order]
-    events["y"] = y[order]
-    events["p"] = np.where(p[order] == on, 1, -1)
+    events = _from_columns(t_us[order], x[order], y[order], np.where(p[order] == on, 1, -1))
     manifest_path = write_dataset(out_dir, events, geometry, masks, ts, source=source)
     return DatasetManifest.load(manifest_path)
 

@@ -118,7 +118,10 @@ def _kernels_for(
     center: Kernel | None = None, surround: Kernel | None = None,
 ) -> tuple[Kernel, Kernel]:
     """The given kernels, or the params' kernels once the frame is known to
-    hold the larger window (so an oversized radius allocates nothing)."""
+    hold the larger window (so an oversized radius allocates nothing). Params
+    of another type raise TypeError."""
+    if not isinstance(params, OmsParams):
+        raise TypeError(f"params must be an OmsParams, got {type(params).__name__}")
     if center is None or surround is None:
         _check_fits(2 * max(params.r1, params.r2), shape)
         center, surround = params.make_kernels()
@@ -314,7 +317,7 @@ def oms_sequence(
     is logged when alpha is at least sum(max(D, 0)), the largest score any
     binary frame can reach in either mode, so no pixel can spike.
     """
-    frames = [_check_frame(f) for f in frames]
+    frames = [_check_frame(f) for f in (frames if np.iterable(frames) else [frames])]
     if not frames:
         return []
     shape = frames[0].shape

@@ -1,4 +1,4 @@
-"""Event-stream primitives.
+"""Event-stream primitives, and the one owner of the event record.
 
 Events are DVS brightness-change records (t, x, y, p) with t in integer
 microseconds and polarity p in {-1, +1}. Streams are kept as numpy
@@ -9,6 +9,10 @@ EVENT_DTYPE slice of the stream, cut by the one window rule
 of binary frames in one pass; window_events and accumulate_frame do the
 same one window at a time.
 
+Every rule for a record lives here: the field ranges (_RANGES), the row
+check (_event_rows), the record check (_check_records), the order check
+(_check_order) and the constructor from columns (_from_columns).
+
 The accumulation step collapses both time and polarity: a pixel of the
 output binary frame is 1 iff at least one event of either polarity landed
 there inside the window. This mimics bipolar-cell activation feeding the
@@ -17,6 +21,7 @@ downstream center-surround stage.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -73,43 +78,88 @@ class Event(NamedTuple):
 EventsLike = Union[np.ndarray, Sequence[Event], Sequence[tuple]]
 
 
+# The one table of field ranges, inclusive: t fits the int64 time that
+# streams are windowed on, x and y their u16 fields. p is -1 or +1.
+_RANGES = (("t", 0, _T_MAX), ("x", 0, _MAX_SIDE), ("y", 0, _MAX_SIDE))
+_POLARITIES = (-1, 1)
+
+
 def as_event_array(events: EventsLike) -> np.ndarray:
-    """Coerce a sequence of Event tuples (or a structured array) to EVENT_DTYPE."""
+    """An EVENT_DTYPE array as it is, or the checked records of (t, x, y, p) rows."""
     if isinstance(events, np.ndarray) and events.dtype == EVENT_DTYPE:
         return events
-    rows = [tuple(e) for e in events]
-    if not rows:
-        return np.empty(0, dtype=EVENT_DTYPE)
-    return np.array(rows, dtype=EVENT_DTYPE)
+    return _event_rows(list(events) if np.iterable(events) else [events])
 
 
-def _check_order_and_polarity(events: np.ndarray) -> np.ndarray:
-    """The stream's timestamps as int64, after checking they never decrease,
-    fit int64 and that every polarity is -1 or +1."""
+def _event_rows(rows: list, where="event {}".format) -> np.ndarray:
+    """The records of rows that all pass _check_row. The rows are checked as
+    one table; only a failing table is scanned row by row."""
+    try:
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if set(map(len, rows)) <= {4} and all(
+                issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
+            table = np.fromiter(chain.from_iterable(rows), np.int64, 4 * len(rows)).reshape(-1, 4)
+            lo, hi = zip(*(r[1:] for r in _RANGES))
+            if not ((table[:, :3] < lo) | (table[:, :3] > hi) | (np.abs(table[:, 3:]) != 1)).any():
+                return _from_columns(*table.T)
+    except (TypeError, OverflowError):  # a row that is not a sequence, a value beyond int64
+        pass
+    return _from_columns(*np.array([_check_row(row, where, i) for i, row in enumerate(rows)],
+                                   dtype=np.int64).reshape(-1, 4).T)
+
+
+def _check_row(row, where, i: int) -> tuple:
+    """The row check: row as four Python ints, once they are integers (never a
+    bool or a float) in _RANGES with p in _POLARITIES; else names where(i)."""
+    values = tuple(row) if np.iterable(row) else ()
+    if len(values) != 4 or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                                   for v in values):
+        raise ValidationError(f"{row!r} is not four integers (t, x, y, p) at {where(i)}")
+    for (name, lo, hi), value in zip(_RANGES, values):
+        if not lo <= value <= hi:
+            raise ValidationError(f"{name}={value} out of range [{lo}, {hi}] at {where(i)}")
+    if values[3] not in _POLARITIES:
+        raise ValidationError(f"invalid polarity p={values[3]} at {where(i)}")
+    return tuple(map(int, values))
+
+
+def _from_columns(t, x, y, p) -> np.ndarray:
+    """The EVENT_DTYPE records with columns t, x, y and p (a scalar repeats);
+    values are cast unchecked, so the caller has checked them."""
+    events = np.empty(len(x), dtype=EVENT_DTYPE)
+    events["t"], events["x"], events["y"], events["p"] = t, x, y, p
+    return events
+
+
+def _check_order(events: np.ndarray) -> np.ndarray:
+    """The stream's timestamps as int64, after checking they never decrease
+    and fit int64."""
     # Compared as stored (u64), so a t >= 2**63 cannot wrap negative.
     t = np.ascontiguousarray(events["t"])
     unsorted = t[1:] < t[:-1]
     if unsorted.any():
-        raise ValidationError(
-            f"event stream unsorted: t decreases at index {int(np.argmax(unsorted)) + 1}"
-        )
+        raise ValidationError(f"event stream unsorted: t decreases at index {np.argmax(unsorted) + 1}")
     if t.size and int(t[-1]) > _T_MAX:
         i = int(np.searchsorted(t, np.uint64(_T_MAX), side="right"))
         raise ValidationError(f"timestamp {int(t[i])} at event index {i} exceeds {_T_MAX}")
-    bad_p = np.abs(events["p"]) != 1  # abs(-128) wraps to -128 in int8: still bad
-    if bad_p.any():
-        raise ValidationError(f"invalid polarity at event index {int(np.argmax(bad_p))}")
     return t.view(np.int64)  # every t is at most _T_MAX, so no value changes
 
 
-def _check_bounds(events: np.ndarray, geometry: SensorGeometry) -> None:
-    x, y = events["x"], events["y"]
-    if x.size and (int(x.max()) >= geometry.width or int(y.max()) >= geometry.height):
-        i = int(np.argmax((x >= geometry.width) | (y >= geometry.height)))
-        raise ValidationError(
-            f"event {i} at (x={int(x[i])}, y={int(y[i])}) "
-            f"outside {geometry.width}x{geometry.height} sensor"
-        )
+def _check_records(events: np.ndarray, geometry: SensorGeometry | None = None,
+                   where="event {}".format, polarity: bool = True) -> None:
+    """The record check: ValidationError names where(i) of the first record
+    whose p is not in _POLARITIES (if polarity) or that lies outside the
+    geometry (if given); bounds cost two max reductions until one fails."""
+    x, y, p = events["x"], events["y"], events["p"]
+    bad = polarity and np.abs(p) != 1  # abs(-128) wraps to -128 in int8: still bad
+    if geometry is not None and x.size and (x.max() >= geometry.width or y.max() >= geometry.height):
+        bad = bad | (x >= geometry.width) | (y >= geometry.height)
+    if bad is not False and bad.any():  # False: nothing checked; np.any(False) costs ~3 us
+        i = int(np.argmax(bad))
+        if polarity and p[i] not in _POLARITIES:
+            raise ValidationError(f"invalid polarity p={p[i]} at {where(i)}")
+        raise ValidationError(f"(x={x[i]}, y={y[i]}) outside {geometry.width}x{geometry.height} "
+                              f"sensor at {where(i)}")
 
 
 def _check_timestamps(mask_timestamps: Sequence[int]) -> np.ndarray:
@@ -141,7 +191,8 @@ def window_events(stream: EventsLike, mask_timestamps: Sequence[int]) -> list[np
     are dropped (no ground truth exists for them).
     """
     ev = as_event_array(stream)
-    bounds = _window_bounds(_check_order_and_polarity(ev), mask_timestamps)
+    bounds = _window_bounds(_check_order(ev), mask_timestamps)
+    _check_records(ev)
     return [ev[bounds[k] : bounds[k + 1]] for k in range(len(bounds) - 1)]
 
 
@@ -157,8 +208,9 @@ def bin_events(
     """
     geometry = _as_geometry(geometry)
     ev = as_event_array(stream)
-    bounds = _window_bounds(_check_order_and_polarity(ev), mask_timestamps)
-    _check_bounds(ev[: bounds[-1]], geometry)
+    bounds = _window_bounds(_check_order(ev), mask_timestamps)
+    _check_records(ev[: bounds[-1]], geometry)
+    _check_records(ev[bounds[-1] :], where=lambda i: f"event {bounds[-1] + i}")
     return _paint(ev, bounds, geometry)
 
 
@@ -184,5 +236,5 @@ def accumulate_frame(window: EventsLike, geometry: SensorGeometry) -> np.ndarray
     """
     geometry = _as_geometry(geometry)
     ev = as_event_array(window)
-    _check_bounds(ev, geometry)
+    _check_records(ev, geometry, polarity=False)
     return _paint(ev, (0, len(ev)), geometry)[0]

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, _check_number
+from .events import _MAX_SIDE
+
+# Largest radius: a 2r x 2r kernel wider than any frame (_MAX_SIDE) never fits.
+_MAX_RADIUS = _MAX_SIDE // 2
 
 
 @dataclass(frozen=True)
@@ -24,7 +28,7 @@ class Kernel:
     weights: np.ndarray
 
     def __post_init__(self):
-        _check_number(ParameterError, "kernel radius", self.radius, True, 1, math.inf)
+        _check_number(ParameterError, "kernel radius", self.radius, True, 1, _MAX_RADIUS)
         if np.shape(self.weights) != (self.size, self.size):
             raise ParameterError(f"radius-{self.radius} kernel weights must be "
                                  f"{self.size}x{self.size}, got shape {np.shape(self.weights)}")
@@ -40,10 +44,11 @@ def make_feathered_kernel(radius: int, sigma: float) -> Kernel:
     Weight at cell (i, j) is exp(-d^2 / (2 sigma^2)) where d is the distance
     from the cell center (i + 0.5, j + 0.5) to the matrix center (radius,
     radius); cells with d > radius are zeroed, then the grid is divided by
-    its sum. Raises ParameterError for a sigma that is not finite and > 0,
-    and when that sum is zero (the Gaussian underflows at every cell).
+    its sum. Raises ParameterError for a radius outside [1, _MAX_RADIUS], a
+    sigma that is not finite and > 0, and when that sum is zero (the
+    Gaussian underflows at every cell).
     """
-    _check_number(ParameterError, "kernel radius", radius, True, 1, math.inf)
+    _check_number(ParameterError, "kernel radius", radius, True, 1, _MAX_RADIUS)
     _check_number(ParameterError, "kernel sigma", sigma, False, 0, math.inf, open=True)
     n = 2 * radius
     offsets = np.arange(n) + 0.5 - radius  # cell-center offsets from the matrix center

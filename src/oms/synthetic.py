@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterError, ParseError, _check_number, _json
-from .events import _MAX_SIDE, EVENT_DTYPE, SensorGeometry, _as_geometry, _decode_geometry
+from .events import _MAX_SIDE, SensorGeometry, _as_geometry, _decode_geometry, _from_columns
 from .events import bin_events
 from .metrics import evaluate_sequence
 
@@ -160,31 +160,18 @@ def generate_scene(
     # Independent noise stream so footprints/frames stay noise-free.
     rng = np.random.default_rng((config.seed, 1))
     h, w = config.geometry.shape
-    chunks = []
-    masks = []
-    timestamps = []
+    chunks, masks, timestamps = [], [], []
     for k in range(1, config.n_frames):
         t = k * FRAME_DT_US
-        diff = frames[k] != frames[k - 1]
-        ys, xs = np.nonzero(diff)
-        ev = np.empty(len(ys), dtype=EVENT_DTYPE)
-        ev["t"] = t
-        ev["x"] = xs
-        ev["y"] = ys
-        ev["p"] = np.where(frames[k][ys, xs], 1, -1)
-        chunks.append(ev)
+        ys, xs = np.nonzero(frames[k] != frames[k - 1])
+        chunks.append(_from_columns(t, xs, ys, np.where(frames[k][ys, xs], 1, -1)))
         n_noise = int(rng.poisson(config.noise_rate))
         if n_noise:
-            nev = np.empty(n_noise, dtype=EVENT_DTYPE)
-            nev["t"] = t
-            nev["x"] = rng.integers(0, w, n_noise)
-            nev["y"] = rng.integers(0, h, n_noise)
-            nev["p"] = rng.choice(np.array([-1, 1], dtype=np.int8), n_noise)
-            chunks.append(nev)
+            chunks.append(_from_columns(t, rng.integers(0, w, n_noise), rng.integers(0, h, n_noise),
+                                        rng.choice(np.array([-1, 1], dtype=np.int8), n_noise)))
         masks.append(footprints[k].astype(np.uint8))
         timestamps.append(t)
-    events = np.concatenate(chunks) if chunks else np.empty(0, dtype=EVENT_DTYPE)
-    return events, masks, timestamps
+    return np.concatenate(chunks), masks, timestamps  # n_frames >= 2: one chunk at least
 
 
 def scene_br(config: SceneConfig) -> float:

@@ -20,7 +20,7 @@ from oms.dataset_io import (
 )
 from oms.events import accumulate_frame, window_events
 from oms.synthetic import SceneConfig, SceneObject, generate_scene
-from oms.events import SensorGeometry
+from oms.events import EVENT_DTYPE, SensorGeometry
 
 from test_dataset_io import build_evimo_fixture
 
@@ -562,6 +562,24 @@ def non_utf8_file(path):
     return path
 
 
+def reversed_events(manifest_path):
+    """Reverse the records of the dataset's native event file, so that t
+    decreases; returns the event file's path."""
+    path = manifest_path.parent / "events.evt"
+    data = path.read_bytes()
+    records = np.frombuffer(data, EVENT_DTYPE, offset=16)
+    assert records["t"][0] < records["t"][-1]
+    path.write_bytes(data[:16] + records[::-1].tobytes())
+    return path
+
+
+def with_geometry(manifest_path, width, height):
+    """Rewrite the manifest's geometry; returns the manifest's path."""
+    doc = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps({**doc, "geometry": {"width": width, "height": height}}))
+    return manifest_path
+
+
 # Each case builds one unreadable input in tmp and returns (CLI args, the
 # path the error message must name).
 UNREADABLE_INPUTS = {
@@ -588,6 +606,12 @@ UNREADABLE_INPUTS = {
     "prediction is a directory": lambda m, preds, tmp: (
         ["eval", "--pred-dir", shutil.copytree(preds, tmp / "p"), "--manifest", m],
         dir_in_place_of(tmp / "p" / "oms_00001.pgm")),
+    "event file unsorted": lambda m, preds, tmp: (
+        ["run", "--manifest", dataset_copy(m, tmp / "ds"), "--out", tmp / "o"],
+        reversed_events(tmp / "ds" / "manifest.json")),
+    "event outside the manifest geometry": lambda m, preds, tmp: (
+        ["run", "--manifest", with_geometry(dataset_copy(m, tmp / "ds"), 2, 8), "--out",
+         tmp / "o"], tmp / "ds" / "events.evt"),
     "run --out is a file": lambda m, preds, tmp: (
         ["run", "--manifest", m, "--out", tmp / "o"], non_utf8_file(tmp / "o")),
 }

@@ -153,6 +153,33 @@ class TestEventFiles:
         path.write_text(text)
         assert len(read_events(path)) == 0
 
+    @pytest.mark.parametrize("row", ["1.5,2,3,1", "1,2,x,1", "1,,3,1"])
+    def test_csv_field_not_an_integer(self, tmp_path, row):
+        path = tmp_path / "events.csv"
+        path.write_text(f"t,x,y,p\n1,2,3,1\n{row}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: malformed CSV line 3: "):
+            read_events(path)
+
+    def test_csv_and_native_read_equal(self, tmp_path, rng):
+        ev = random_events(rng, 300)
+        write_events(ev, GEOM, tmp_path / "ev.evt")
+        (tmp_path / "ev.csv").write_text(
+            "t,x,y,p\n" + "".join(f"{t}, {x},{y} ,{p}\n\n" for t, x, y, p in ev.tolist()))
+        native, csv = read_events(tmp_path / "ev.evt"), read_events(tmp_path / "ev.csv")
+        assert native.dtype == csv.dtype == EVENT_DTYPE
+        assert np.array_equal(native, ev) and np.array_equal(csv, ev)
+
+    @pytest.mark.parametrize("record, message", [
+        ((2, 2, 3, 5), "invalid polarity p=5 at byte offset 29"),
+        ((2, 10, 3, 1), r"\(x=10, y=3\) outside 10x10 sensor at byte offset 29"),
+    ])
+    def test_native_record_check_names_offset(self, tmp_path, record, message):
+        path = tmp_path / "bad.evt"
+        path.write_bytes(b"EVT1" + struct.pack("<HH", 10, 10) + b"\x00" * 8
+                         + struct.pack("<QHHb", 1, 2, 3, 1) + struct.pack("<QHHb", *record))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}$"):
+            read_events(path)
+
     def test_csv_timestamp_beyond_int64(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text(f"t,x,y,p\n1,2,3,1\n{2**63 - 1},2,3,1\n")
@@ -573,6 +600,19 @@ class TestImporters:
             manifest = importer(src, tmp_path / "native")
         _, events, masks = load_dataset(tmp_path / "native" / "manifest.json")
         assert len(events) == 0 and len(masks) == 3 and manifest.source == layout
+
+    def test_import_evimo_empty_files_warn_nothing(self, tmp_path, rng):
+        # np.loadtxt warns "input contained no data" on an empty file; the
+        # importer reads it as no rows, which is not worth a warning.
+        src = tmp_path / "evimo"
+        build_evimo_fixture(src, rng)
+        (src / "events.txt").write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            import_evimo(src, tmp_path / "native")
+            (src / "timestamps.txt").write_text("")
+            with pytest.raises(ParseError, match="3 masks but 0 timestamps"):
+                import_evimo(src, tmp_path / "native2")
 
     @pytest.mark.parametrize("change, match", [
         ("not_n_by_4", r"events\.npy: expected shape \(N, 4\), got \(200, 3\)$"),

@@ -575,6 +575,11 @@ class TestOmsSequence:
     def test_empty(self):
         assert oms_sequence([], OmsParams()) == []
 
+    @pytest.mark.parametrize("frames", [5, None, np.zeros(4)], ids=["int", "none", "1d"])
+    def test_not_a_sequence_of_frames(self, frames):
+        with pytest.raises(ValidationError, match="frame must be 2D"):
+            oms_sequence(frames, OmsParams())
+
     def test_purity(self, rng):
         frame = (rng.random((32, 32)) < 0.3).astype(np.uint8)
         masks = oms_sequence([frame] * 3, OmsParams(alpha=0.2))
@@ -642,6 +647,15 @@ class TestOmsSequence:
         assert len(warnings_for(bound)) == 1
         assert warnings_for(np.nextafter(bound, 0.0)) == []
         assert warnings_for(0.13) == []
+
+
+@pytest.mark.parametrize("params", [None, {"alpha": 0.2}, "dense"], ids=["none", "dict", "str"])
+def test_foreign_params_raise_type_error(params):
+    # A foreign object where OmsParams belongs is a programming error: TypeError.
+    frame = np.zeros((16, 16), np.uint8)
+    for call in (oms_frame, oms_scores, lambda f, p: oms_sequence([f], p)):
+        with pytest.raises(TypeError, match="params must be an OmsParams"):
+            call(frame, params)
 
 
 class TestApplyMask:

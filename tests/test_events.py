@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -89,6 +91,82 @@ class TestWindowEvents:
         windows = window_events(make_events(ts), bounds)
         glued = np.concatenate([w["t"] for w in windows])
         assert list(glued) == [t for t in ts if t <= bounds[-1]]
+
+
+# Rows that are not four integers (never a bool or a float) with t in
+# [0, 2^63 - 1], x and y in [0, 65535] and p -1 or +1, nor a sequence of them.
+BAD_ROWS = {
+    "short": [(1, 2)],
+    "string": "abc",
+    "negative_t": [(-1, 2, 3, 1)],
+    "float_array": np.zeros(3),
+    "float_t": [(1.5, 2, 3, 1)],
+    "bool_t": [(True, 2, 3, 1)],
+    "polarity_0": [(1, 2, 3, 0)],
+    "scalar": 5,
+}
+
+VALID_ROWS = st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 65535),
+                                st.integers(0, 65535), st.sampled_from([-1, 1])), max_size=20)
+
+# (field index, bad value, what the message names)
+BAD_VALUES = [(0, -1, "t="), (0, 2**63, "t="), (0, 2**64, "t="), (1, 65536, "x="),
+              (2, -1, "y="), (3, 0, "polarity"), (3, 2, "polarity"), (3, -128, "polarity"),
+              (0, np.uint64(2**64 - 1), "t="), (1, np.int64(70000), "x="),
+              (3, np.int8(-128), "polarity"), (0, np.float64(1), "not four integers"),
+              (0, 1.0, "not four integers"), (3, True, "not four integers")]
+
+
+class TestEventRows:
+    @pytest.mark.parametrize("rows", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+    @pytest.mark.parametrize("call", [
+        as_event_array,
+        lambda rows: accumulate_frame(rows, SensorGeometry(8, 8)),
+        lambda rows: window_events(rows, [10]),
+    ], ids=["as_event_array", "accumulate_frame", "window_events"])
+    def test_bad_rows_rejected(self, call, rows):
+        with pytest.raises(ValidationError):
+            call(rows)
+
+    @given(rows=VALID_ROWS, numpy_ints=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_rows_kept_exactly(self, rows, numpy_ints):
+        if numpy_ints:  # numpy integers are integers too
+            rows = [(np.uint64(t), np.uint16(x), np.int32(y), np.int8(p)) for t, x, y, p in rows]
+        ev = as_event_array(rows)
+        assert ev.dtype == EVENT_DTYPE
+        assert ev.tolist() == [tuple(int(v) for v in row) for row in rows]
+
+    @given(rows=VALID_ROWS.filter(bool), bad=st.sampled_from(BAD_VALUES), numpy_ints=st.booleans(),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_first_bad_row_named(self, rows, bad, numpy_ints, data):
+        if numpy_ints:
+            rows = [(np.uint64(t), np.uint16(x), np.int32(y), np.int8(p)) for t, x, y, p in rows]
+        k = data.draw(st.integers(0, len(rows) - 1))
+        field, value, what = bad
+        row = list(rows[k])
+        row[field] = value
+        rows = [*rows[:k], tuple(row), *rows[k + 1:], tuple(row)]  # and a later one
+        with pytest.raises(ValidationError, match=f"{re.escape(what)}.* at event {k}$"):
+            as_event_array(rows)
+
+    def test_record_check_names_first_bad_record(self):
+        # Record 1 lies outside the sensor and record 2 has polarity 0: the
+        # first of either kind is named, with its index in the whole stream.
+        ev = make_events([1, 2, 3], xs=[0, 9, 0], ps=[1, 1, 0])
+        with pytest.raises(ValidationError, match=r"^\(x=9, y=0\) outside 4x4 sensor at event 1$"):
+            bin_events(ev, [10], SensorGeometry(4, 4))
+        with pytest.raises(ValidationError, match=r"^invalid polarity p=0 at event 2$"):
+            window_events(ev, [10])
+        # After the last timestamp only polarity is checked, still named by stream index.
+        with pytest.raises(ValidationError, match=r"^invalid polarity p=0 at event 2$"):
+            bin_events(ev, [2], SensorGeometry(16, 16))
+        assert bin_events(ev[:2], [1], SensorGeometry(4, 4)).sum() == 1
+        # accumulate_frame checks bounds only: a record array's polarity is not its concern.
+        with pytest.raises(ValidationError, match=r"^\(x=9, y=0\) outside 8x8 sensor at event 0$"):
+            accumulate_frame(make_events([1], xs=[9], ps=[0]), SensorGeometry(8, 8))
+        assert accumulate_frame(ev[2:], SensorGeometry(4, 4)).sum() == 1
 
 
 class TestAccumulateFrame:

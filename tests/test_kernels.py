@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oms import Kernel, ParameterError, kernel_to_text, make_feathered_kernel
-from oms.kernels import difference_kernel
+from oms.kernels import _MAX_RADIUS, difference_kernel
 
 RADII = range(1, 17)
 SIGMAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -69,6 +69,22 @@ def test_invalid_parameters():
         make_feathered_kernel(2, 0.0)
     with pytest.raises(ParameterError):
         make_feathered_kernel(2, -1.0)
+
+
+def test_radius_capped_before_allocating(monkeypatch):
+    # No frame is wider than 65535 pixels, so no kernel wider than that can
+    # fit one. The cap is checked before the grid is built: a radius of 10**6
+    # would ask for a 2e6 x 2e6 float grid (29 TiB).
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel grid built")
+
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    for radius in (_MAX_RADIUS + 1, 10**6):
+        with pytest.raises(ParameterError, match=rf"kernel radius .*\[1, {_MAX_RADIUS}\]"):
+            make_feathered_kernel(radius, 1.0)
+        with pytest.raises(ParameterError, match=rf"kernel radius .*\[1, {_MAX_RADIUS}\]"):
+            Kernel(radius, 1.0, np.ones((2, 2)))
+    assert _MAX_RADIUS == 32767
 
 
 @pytest.mark.parametrize("radius, weights", [

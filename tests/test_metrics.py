@@ -130,6 +130,14 @@ class TestBfRatio:
         assert bf_ratio(frame, gt) == outside / inside
 
 
+def test_ragged_nested_list_rejected():
+    for metric in (iou, detection, score_frame, bf_ratio):
+        with pytest.raises(ValidationError, match="frame 0 is not an array"):
+            metric([[1, 0], [1]], [[1, 0], [1, 0]])
+    with pytest.raises(ValidationError, match="frame 1 is not an array"):
+        evaluate_sequence([[[1]], [[1, 0], [1]]], [[[1]], [[1, 0], [1, 0]]], [[[1]]] * 2)
+
+
 @pytest.mark.parametrize("metric", [iou, detection, score_frame, bf_ratio])
 def test_nested_lists_match_arrays(rng, metric):
     for _ in range(20):
