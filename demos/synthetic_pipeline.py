@@ -42,7 +42,7 @@ frames = [accumulate_frame(w, config.geometry) for w in windows]
 
 # alpha=0.13 sits inside the achievable score range for normalized kernels.
 params = OmsParams(alpha=0.13)
-preds = oms_sequence(frames, params, threads=4)
+preds = oms_sequence(frames, params)
 
 report = evaluate_sequence(preds, gt_masks, frames)
 print(f"mIoU {report.mean_iou:.2f}%  DR {report.detection_rate:.2f}%  "

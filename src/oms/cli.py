@@ -107,18 +107,6 @@ def resolve_params(config_doc: dict, **flags) -> OmsParams:
     return OmsParams(**merged)
 
 
-def _resolve_threads(threads) -> int:
-    """'auto' is the number of CPUs this process may run on."""
-    if threads in (None, "auto"):
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    n = int(threads) if str(threads).isdecimal() else 0
-    if n < 1:
-        raise click.BadParameter(f"threads must be an integer >= 1 or 'auto', got {threads!r}")
-    return n
-
-
 def build_frames(manifest_path, timings: dict):
     """(manifest, (T, H, W) uint8 stack of binary frames) for a dataset.
 
@@ -154,7 +142,8 @@ def _timed(timings: dict, stage: str):
 @click.option("--config", "config_path", default=None, help="JSON run config file.")
 @click.option("--emit-overlays", is_flag=True, default=None,
               help="Also write frame|GT|OMS composite images.")
-@click.option("--threads", default=None, help="Worker count or 'auto'.")
+@click.option("--threads", type=click.IntRange(min=1), default=1,
+              help="Worker threads for scoring (default 1).")
 @param_options
 @handle_errors
 def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags):
@@ -164,11 +153,10 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
         """Flags override run-config fields, which override the defaults."""
         overlays = doc.get("emit_overlays", False) if emit_overlays is None else emit_overlays
         overlays = _json("emit_overlays", overlays, bool)
-        return resolve_params(doc, **flags), overlays, doc.get("threads")
+        return resolve_params(doc, **flags), overlays
 
-    params, overlays, config_threads = (
+    params, overlays = (
         _read_json(config_path, "run config", settings) if config_path else settings({}))
-    n_threads = _resolve_threads(threads if threads is not None else config_threads)
 
     timings: dict[str, float] = {}
     manifest, frames = build_frames(manifest_path, timings)
@@ -186,7 +174,7 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
         if re.fullmatch(r"(oms|overlay)_\d{5,}\.pgm", path.name) and path.name not in written:
             path.unlink()
     with _timed(timings, "score"):
-        preds = oms_sequence(frames, params, threads=n_threads)
+        preds = oms_sequence(frames, params, threads=threads)
     with _timed(timings, "write"):
         for i, pred in enumerate(preds):
             write_mask(pred, out / PRED_PATTERN.format(i))
@@ -200,7 +188,7 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
             "alpha": params.alpha, "mode": params.mode,
             "sigma_c": params.center_sigma, "sigma_s": params.surround_sigma,
         },
-        "threads": n_threads,
+        "threads": threads,
         "frames": len(preds),
         "emit_overlays": overlays,
         "timings_ms": {stage: round(timings[stage], 3)
@@ -258,10 +246,9 @@ def cmd_synth(scene_config, out_dir):
 
 @main.command("bench")
 @click.option("--manifest", "manifest_path", required=True, help="Dataset manifest JSON.")
-@click.option("--threads", default="auto", help="Worker count for the parallel pass.")
 @param_options
 @handle_errors
-def cmd_bench(manifest_path, threads, **flags):
+def cmd_bench(manifest_path, **flags):
     """Measure per-frame latency percentiles and throughput."""
     params = resolve_params({}, **flags)
     timings: dict[str, float] = {}
@@ -269,28 +256,20 @@ def cmd_bench(manifest_path, threads, **flags):
     if len(frames) == 0:
         click.echo("no frames in dataset; nothing to benchmark")
         return
-    n_threads = _resolve_threads(threads)
     kernels = _kernels_for(frames.shape[1:], params)
 
     oms_frame(frames[0], params, *kernels)  # warm-up
     latencies: dict[int, float] = {}
-    single = []
     with _timed(timings, "single"):
         for k, frame in enumerate(frames):
             with _timed(latencies, k):
-                single.append(oms_frame(frame, params, *kernels))
-    with _timed(timings, "threads"):
-        multi = oms_sequence(frames, params, threads=n_threads)
-    identical = all(np.array_equal(a, b) for a, b in zip(single, multi))
+                oms_frame(frame, params, *kernels)
     lat_ms = np.array(list(latencies.values()))
     click.echo(json.dumps({
         "frames": len(frames),
         "p50_ms": float(np.percentile(lat_ms, 50)),
         "p95_ms": float(np.percentile(lat_ms, 95)),
         "throughput_fps_single": len(frames) / (timings["single"] / 1e3),
-        "throughput_fps_threads": len(frames) / (timings["threads"] / 1e3),
-        "threads": n_threads,
-        "masks_identical_across_thread_counts": identical,
         "timings_ms": {stage: round(timings[stage], 3) for stage in ("load", "bin")},
     }, indent=2))
 

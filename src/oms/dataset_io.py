@@ -124,10 +124,16 @@ def _parse_native(f, geometry: SensorGeometry) -> np.ndarray:
 
 def _parse_csv(text: str) -> np.ndarray:
     """Rows after the header, the first non-blank line; blank lines are
-    skipped and errors name the physical line."""
+    skipped and errors name the physical line. A field is an optional "-"
+    and ASCII digits, with spaces or tabs around it."""
     rows, lines = [], [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()][1:]
+    # int() also takes "+", "_" and other whitespace: one scan tells if any row holds them
+    junk = lambda s: s.encode("ascii", "replace").translate(None, b"-0123456789, \t")
+    check = junk("".join(line for _, line in lines))
     for n, line in lines:
         try:
+            if check and junk(line):
+                raise ValueError(f"{line!r} holds a character other than 0-9, '-', ',', space, tab")
             rows.append(tuple(map(int, line.split(","))))  # int() strips spaces around a value
         except ValueError as exc:
             raise ValidationError(f"malformed CSV line {n}: {exc}") from exc

@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError, _check_number
+from .errors import ParameterError, ValidationError, _check_number, _check_type
 from .kernels import Kernel, difference_kernel, make_feathered_kernel
 
 log = logging.getLogger("oms")
@@ -118,14 +118,16 @@ def _kernels_for(
     center: Kernel | None = None, surround: Kernel | None = None,
 ) -> tuple[Kernel, Kernel]:
     """The given kernels, or the params' kernels once the frame is known to
-    hold the larger window (so an oversized radius allocates nothing). Params
-    of another type raise TypeError."""
-    if not isinstance(params, OmsParams):
-        raise TypeError(f"params must be an OmsParams, got {type(params).__name__}")
-    if center is None or surround is None:
+    hold the larger window (so an oversized radius allocates nothing). One
+    kernel without the other raises ParameterError; params or kernels of
+    another type raise TypeError."""
+    _check_type("params", params, OmsParams)
+    if center is None and surround is None:
         _check_fits(2 * max(params.r1, params.r2), shape)
-        center, surround = params.make_kernels()
-    return center, surround
+        return params.make_kernels()
+    if center is None or surround is None:
+        raise ParameterError("give both the center and the surround kernel, or neither")
+    return _check_type("center", center, Kernel), _check_type("surround", surround, Kernel)
 
 
 def _check_binary_frame(frame: np.ndarray) -> np.ndarray:
@@ -161,6 +163,7 @@ def filter_frame(
     for oms_scores.
     """
     frame = _check_binary_frame(frame)
+    _check_type("kernel", kernel, Kernel)
     if mode not in MODES:
         raise ParameterError(f"unknown filter mode {mode!r}")
     if mode == "strided":

@@ -32,6 +32,15 @@ def _check_number(error: type, name: str, value, integral: bool, lo, hi, open: b
     return value
 
 
+def _check_type(name: str, value, kind: type):
+    """`value` unchanged if it is a `kind`; else raises TypeError, because a
+    foreign object where a package type belongs is a programming error."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _json(what: str, value, kind: type = dict, error: type = ParseError):
     """`value` unchanged if it is a JSON object, array, string or boolean as
     `kind` is dict, list, str or bool; else raises `error`."""

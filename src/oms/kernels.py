@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _check_number
+from .errors import ParameterError, _check_number, _check_type
 from .events import _MAX_SIDE
 
 # Largest radius: a 2r x 2r kernel wider than any frame (_MAX_SIDE) never fits.
@@ -84,6 +84,5 @@ def difference_kernel(center: Kernel, surround: Kernel) -> np.ndarray:
 
 def kernel_to_text(kernel: Kernel) -> str:
     """Render weights as a row-major plain-text grid, 12 significant digits."""
-    return "\n".join(
-        " ".join(f"{w:.12g}" for w in row) for row in kernel.weights
-    )
+    weights = _check_type("kernel", kernel, Kernel).weights
+    return "\n".join(" ".join(f"{w:.12g}" for w in row) for row in weights)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, _check_number, _json
+from .errors import ParameterError, ParseError, _check_number, _check_type, _json
 from .events import _MAX_SIDE, SensorGeometry, _as_geometry, _decode_geometry, _from_columns
 from .events import bin_events
 from .metrics import evaluate_sequence
@@ -68,6 +68,9 @@ class SceneConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "geometry", _as_geometry(self.geometry))
+        objects = self.objects if isinstance(self.objects, (tuple, list)) else [None]
+        if not all(isinstance(o, SceneObject) for o in objects):
+            raise ParameterError(f"objects must be a list of SceneObject, got {self.objects!r}")
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "camera_velocity",
                            _pair("camera_velocity", self.camera_velocity, -_MAX_SIDE))
@@ -131,7 +134,7 @@ def _object_footprint(obj: SceneObject, frame_index: int, shape: tuple[int, int]
 
 def render_frames(config: SceneConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Rendered boolean frames and per-frame object footprints, frame 0..n-1."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(_check_type("config", config, SceneConfig).seed)
     h, w = config.geometry.shape
     bg = rng.random((h, w)) < config.bg_density
     vx, vy = config.camera_velocity
@@ -181,7 +184,7 @@ def scene_br(config: SceneConfig) -> float:
     Frames with no activity inside the ground truth are excluded; if every
     frame is excluded the result is +inf.
     """
-    if not config.objects:
+    if not _check_type("config", config, SceneConfig).objects:
         raise ParameterError("scene_br needs at least one object")
     events, masks, timestamps = generate_scene(config)
     report = evaluate_sequence(masks, masks, bin_events(events, timestamps, config.geometry))

@@ -1,6 +1,5 @@
 import json
 import logging
-import os
 import shutil
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oms import engine
-from oms.cli import _resolve_threads, main
+from oms.cli import main
 from oms.dataset_io import (
     DatasetManifest, ParseError, import_evimo, mask_filename, read_events, read_mask,
     write_dataset,
@@ -66,10 +65,10 @@ class TestRun:
     def test_rerun_byte_identical(self, dataset, tmp_path):
         manifest_path, n = dataset
         outs = []
-        for name in ("a", "b"):
+        for name, threads in (("a", []), ("b", ["--threads", 2])):
             out = tmp_path / name
             result = run_cli("run", "--manifest", manifest_path, "--out", out,
-                             "--alpha", 0.13, "--threads", 4 if name == "b" else 1)
+                             "--alpha", 0.13, *threads)
             assert result.exit_code == 0, result.output
             outs.append(out)
         for i in range(n):
@@ -241,9 +240,6 @@ class TestRun:
         ({"mode": 3}, []),
         ([1, 2], []),
         ("dense", []),
-        ({"threads": "x"}, []),
-        ({"threads": 2.5}, []),
-        ({"threads": True}, []),
         ({}, ["--threads", "abc"]),
         ({}, ["--threads", "0"]),
         ({"sigma_c": float("inf")}, []),
@@ -258,6 +254,31 @@ class TestRun:
                          "--config", cfg, *flags)
         assert result.exit_code == 2, result.output
         assert "internal error" not in result.output
+
+    @pytest.mark.parametrize("config, flags, pools, threads", [
+        (None, [], [], 1),
+        ({"threads": 4}, [], [], 1),  # not read: ignored like any unknown key
+        (None, ["--threads", "2"], [2], 2),
+    ])
+    def test_one_thread_unless_flag_asks(self, dataset, tmp_path, monkeypatch,
+                                         config, flags, pools, threads):
+        manifest_path, _ = dataset
+        started = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            flags = ["--config", tmp_path / "cfg.json", *flags]
+        out = tmp_path / "run"
+        result = run_cli("run", "--manifest", manifest_path, "--out", out, *flags)
+        assert result.exit_code == 0, result.output
+        assert started == pools
+        assert json.loads((out / "run.json").read_text())["threads"] == threads
 
     @pytest.mark.parametrize("row, field", [("-5,1,1,1", "t"), ("5,70000,1,1", "x")])
     def test_csv_overflow_exit_2(self, tmp_path, row, field):
@@ -367,19 +388,18 @@ class TestSynth:
 class TestBench:
     def test_smoke(self, dataset):
         manifest_path, _ = dataset
-        result = run_cli("bench", "--manifest", manifest_path, "--threads", 2)
+        result = run_cli("bench", "--manifest", manifest_path)
         assert result.exit_code == 0, result.output
         doc = json.loads(result.output)
-        assert doc["masks_identical_across_thread_counts"] is True
         assert doc["p50_ms"] > 0 and doc["p95_ms"] >= doc["p50_ms"]
+        assert run_cli("bench", "--manifest", manifest_path, "--threads", 2).exit_code == 2
 
     def test_stage_timings(self, dataset):
         manifest_path, _ = dataset
-        result = run_cli("bench", "--manifest", manifest_path, "--threads", 1)
+        result = run_cli("bench", "--manifest", manifest_path)
         assert result.exit_code == 0, result.output
         doc = json.loads(result.output)
-        assert {"frames", "p50_ms", "p95_ms", "throughput_fps_single", "throughput_fps_threads",
-                "threads", "masks_identical_across_thread_counts"} < set(doc)
+        assert set(doc) == {"frames", "p50_ms", "p95_ms", "throughput_fps_single", "timings_ms"}
         assert set(doc["timings_ms"]) == {"load", "bin"}
         assert all(v >= 0 for v in doc["timings_ms"].values())
 
@@ -419,8 +439,7 @@ FUZZ_PARAMS = st.fixed_dictionaries({}, optional={
     "sigma_s": mostly(st.floats(0.3, 4), FUZZ_JUNK),
     "emit_overlays": FUZZ_JUNK,
     "other": FUZZ_JUNK,
-    # never more than 2 workers: no "auto", which is the host's CPU count
-    "threads": st.sampled_from([1, 2, 0, -1, "x", 1.5, True, None, [2]]),
+    "threads": st.sampled_from([1, 2, 0, -1, "x", 1.5, True, None, [2], 64]),  # ignored
 })
 FUZZ_CONFIGS = mostly(FUZZ_PARAMS, FUZZ_JUNK)
 FUZZ_THREADS = mostly(st.sampled_from([None, "1", "2"]), st.sampled_from(["0", "-1", "x", "1.5"]))
@@ -485,11 +504,9 @@ class TestCliFuzz:
     scene config."""
 
     @settings(max_examples=60, deadline=None)
-    @given(config=FUZZ_CONFIGS, threads=FUZZ_THREADS, bench_threads=FUZZ_THREADS,
-           flags=FUZZ_FLAGS, verbose=st.booleans())
-    @example(config={"sigma_c": float("inf")}, threads=None, bench_threads=None, flags={},
-             verbose=False)
-    def test_run_eval_bench(self, dataset, config, threads, bench_threads, flags, verbose):
+    @given(config=FUZZ_CONFIGS, threads=FUZZ_THREADS, flags=FUZZ_FLAGS, verbose=st.booleans())
+    @example(config={"sigma_c": float("inf")}, threads=None, flags={}, verbose=False)
+    def test_run_eval_bench(self, dataset, config, threads, flags, verbose):
         manifest_path, _ = dataset
         args = [a for kv in flags.items() for a in kv]
         workers = []
@@ -515,8 +532,7 @@ class TestCliFuzz:
             if results[0].exit_code == 0:
                 assert results[1].exit_code == 0, results[1].output
                 strict_json(results[1].output)
-            results.append(run_cli("bench", "--manifest", manifest_path,
-                                   "--threads", bench_threads or "1", *args))
+            results.append(run_cli("bench", "--manifest", manifest_path, *args))
             if results[2].exit_code == 0:
                 strict_json(results[2].output)
         assert all(w <= 2 for w in workers)
@@ -802,18 +818,3 @@ class TestKernelDump:
         assert abs(sum(sum(r) for r in grid) - 1.0) < 1e-9
         assert run_cli("kernel-dump", "--radius", 2, "--sigma", "inf").exit_code == 2
 
-
-class TestThreads:
-    def test_auto_uses_affinity(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert _resolve_threads("auto") == 3
-        assert _resolve_threads(None) == 3
-        assert _resolve_threads("2") == 2
-
-    def test_auto_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert _resolve_threads("auto") == 5
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _resolve_threads("auto") == 1

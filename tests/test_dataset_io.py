@@ -153,10 +153,11 @@ class TestEventFiles:
         path.write_text(text)
         assert len(read_events(path)) == 0
 
-    @pytest.mark.parametrize("row", ["1.5,2,3,1", "1,2,x,1", "1,,3,1"])
+    @pytest.mark.parametrize("row", ["1.5,2,3,1", "1,2,x,1", "1,,3,1", "1_0,2,3,1", "1,2,3,+1",
+                                     "1,2,3,\xe91"])
     def test_csv_field_not_an_integer(self, tmp_path, row):
         path = tmp_path / "events.csv"
-        path.write_text(f"t,x,y,p\n1,2,3,1\n{row}\n")
+        path.write_text(f"t,x,y,p\n1,2,3,1\n{row}\n1,2,3,+1\n", encoding="latin-1")
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: malformed CSV line 3: "):
             read_events(path)
 
@@ -164,7 +165,7 @@ class TestEventFiles:
         ev = random_events(rng, 300)
         write_events(ev, GEOM, tmp_path / "ev.evt")
         (tmp_path / "ev.csv").write_text(
-            "t,x,y,p\n" + "".join(f"{t}, {x},{y} ,{p}\n\n" for t, x, y, p in ev.tolist()))
+            "t,x,y,p\n" + "".join(f"{t}, {x},\t{y} ,{p}\n\n" for t, x, y, p in ev.tolist()))
         native, csv = read_events(tmp_path / "ev.evt"), read_events(tmp_path / "ev.csv")
         assert native.dtype == csv.dtype == EVENT_DTYPE
         assert np.array_equal(native, ev) and np.array_equal(csv, ev)

@@ -658,6 +658,16 @@ def test_foreign_params_raise_type_error(params):
             call(frame, params)
 
 
+@pytest.mark.parametrize("call", [oms_frame, oms_scores], ids=["oms_frame", "oms_scores"])
+def test_lone_kernel_raises_parameter_error(call):
+    # One kernel without the other used to be dropped, and both built from params.
+    frame = np.zeros((16, 16), np.uint8)
+    center, surround = OmsParams(r1=1, r2=3).make_kernels()
+    for kernels in ((None, surround), (center, None)):
+        with pytest.raises(ParameterError, match="both the center and the surround kernel"):
+            call(frame, OmsParams(), *kernels)
+
+
 class TestApplyMask:
     def test_identity_and_annihilator(self, rng):
         frame = (rng.random((16, 16)) < 0.4).astype(np.uint8)

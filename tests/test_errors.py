@@ -1,20 +1,41 @@
 """The one rule for numeric fields: every value type raises its own OmsError
-subclass for a value of the wrong type or range, never TypeError."""
+subclass for a value of the wrong type or range, never TypeError; and the
+input contract of every exported callable."""
 
 import numpy as np
 import pytest
 
+import oms
 from oms import (
     EVENT_DTYPE,
+    Event,
+    FrameScore,
+    Kernel,
     OmsError,
     OmsParams,
     ParameterError,
     SceneConfig,
     SceneObject,
     SensorGeometry,
+    SequenceReport,
     ValidationError,
     accumulate_frame,
+    apply_mask,
+    as_event_array,
+    bf_ratio,
+    detection,
+    evaluate_sequence,
+    filter_frame,
+    generate_scene,
+    iou,
+    kernel_to_text,
     make_feathered_kernel,
+    oms_frame,
+    oms_scores,
+    oms_sequence,
+    render_frames,
+    scene_br,
+    score_frame,
     window_events,
 )
 from oms.dataset_io import DatasetManifest, write_events
@@ -99,3 +120,60 @@ def test_interval_ends(value, open, ok):
     else:
         with pytest.raises(ValidationError):
             _check_number(ValidationError, "x", value, False, 0, 1, open)
+
+
+FRAME = np.zeros((16, 16), np.uint8)
+KERNEL = make_feathered_kernel(2, 1.0)
+
+# One bad call or more for each exported callable, and the error it raises.
+# Data of the wrong kind or content raises ValidationError or ParameterError;
+# a foreign object where an OmsParams, Kernel or SceneConfig belongs raises
+# TypeError, as does a wrong argument count.
+CONTRACT = [
+    ("Event", lambda: Event(1, 2), TypeError),
+    ("FrameScore", lambda: FrameScore(1.0), TypeError),
+    ("Kernel", lambda: Kernel(1, 1.0, np.ones((3, 3))), ParameterError),
+    ("OmsParams", lambda: OmsParams(mode=None), ParameterError),
+    ("SceneConfig", lambda: scene(objects=(None,)), ParameterError),
+    ("SceneConfig", lambda: scene(objects=5), ParameterError),
+    ("SceneObject", lambda: SceneObject("rect", 3, None, (2.0, 4.0)), ParameterError),
+    ("SensorGeometry", lambda: SensorGeometry(8), TypeError),
+    ("SequenceReport", lambda: SequenceReport(1.0), TypeError),
+    ("accumulate_frame", lambda: accumulate_frame(None, (8, 8)), ValidationError),
+    ("apply_mask", lambda: apply_mask(FRAME, np.zeros((4, 5))), ValidationError),
+    ("as_event_array", lambda: as_event_array("abcd"), ValidationError),
+    ("bf_ratio", lambda: bf_ratio(FRAME, np.zeros((3, 3))), ValidationError),
+    ("detection", lambda: detection(None, FRAME), ValidationError),
+    ("evaluate_sequence", lambda: evaluate_sequence([FRAME], [FRAME, FRAME], [FRAME]),
+     ValidationError),
+    ("filter_frame", lambda: filter_frame(FRAME, None), TypeError),
+    ("filter_frame", lambda: filter_frame(FRAME, KERNEL, mode="x"), ParameterError),
+    ("generate_scene", lambda: generate_scene(None), TypeError),
+    ("iou", lambda: iou("x", FRAME), ValidationError),
+    ("kernel_to_text", lambda: kernel_to_text(None), TypeError),
+    ("make_feathered_kernel", lambda: make_feathered_kernel(None, 1.0), ParameterError),
+    ("oms_frame", lambda: oms_frame(FRAME, OmsParams(), "x", "y"), TypeError),
+    ("oms_frame", lambda: oms_frame(FRAME + 2, OmsParams()), ValidationError),
+    ("oms_scores", lambda: oms_scores(FRAME, None), TypeError),
+    ("oms_scores", lambda: oms_scores(FRAME, OmsParams(), KERNEL, None), ParameterError),
+    ("oms_sequence", lambda: oms_sequence(5, OmsParams()), ValidationError),
+    ("render_frames", lambda: render_frames(None), TypeError),
+    ("scene_br", lambda: scene_br(None), TypeError),
+    ("score_frame", lambda: score_frame(FRAME, None), ValidationError),
+    ("window_events", lambda: window_events(EVENTS, None), ValidationError),
+]
+# Exceptions take any message, so no argument is bad.
+NO_BAD_ARGUMENT = {"OmsError", "ParameterError", "ParseError", "ValidationError"}
+
+
+@pytest.mark.parametrize("name, call, error", CONTRACT,
+                         ids=[f"{name}-{i}" for i, (name, *_) in enumerate(CONTRACT)])
+def test_input_contract(name, call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_input_contract_covers_every_export():
+    exported = {name for name in oms.__all__ if callable(getattr(oms, name))}
+    assert {name for name, *_ in CONTRACT} | NO_BAD_ARGUMENT == exported
