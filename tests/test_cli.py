@@ -242,6 +242,9 @@ class TestRun:
         ("dense", []),
         ({}, ["--threads", "abc"]),
         ({}, ["--threads", "0"]),
+        ({}, ["--threads", "auto"]),
+        ({}, ["--threads", "2.5"]),
+        ({}, ["--threads", "-1"]),
         ({"sigma_c": float("inf")}, []),
         ({"sigma_s": float("nan")}, []),
         ({}, ["--sigma-s", "inf"]),
