@@ -143,7 +143,7 @@ def _timed(timings: dict, stage: str):
 @click.option("--emit-overlays", is_flag=True, default=None,
               help="Also write frame|GT|OMS composite images.")
 @click.option("--threads", type=click.IntRange(min=1), default=1,
-              help="Worker threads for scoring (default 1).")
+              help="Accepted (a positive integer) and ignored: scoring runs on one thread.")
 @param_options
 @handle_errors
 def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags):
@@ -174,7 +174,7 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
         if re.fullmatch(r"(oms|overlay)_\d{5,}\.pgm", path.name) and path.name not in written:
             path.unlink()
     with _timed(timings, "score"):
-        preds = oms_sequence(frames, params, threads=threads)
+        preds = oms_sequence(frames, params)
     with _timed(timings, "write"):
         for i, pred in enumerate(preds):
             write_mask(pred, out / PRED_PATTERN.format(i))
@@ -188,7 +188,6 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
             "alpha": params.alpha, "mode": params.mode,
             "sigma_c": params.center_sigma, "sigma_s": params.surround_sigma,
         },
-        "threads": threads,
         "frames": len(preds),
         "emit_overlays": overlays,
         "timings_ms": {stage: round(timings[stage], 3)

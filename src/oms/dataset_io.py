@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OmsError, ParseError, ValidationError, _json
+from .errors import OmsError, ParseError, ValidationError, _array, _json
 from .events import EVENT_DTYPE, SensorGeometry, _as_geometry, _check_order, _check_records
 from .events import _check_timestamps, _decode_geometry, _event_rows, _from_columns, as_event_array
 
@@ -145,9 +145,7 @@ def _parse_csv(text: str) -> np.ndarray:
 
 def write_mask(mask: np.ndarray, path) -> None:
     """Write a {0,1} mask as binary PGM with values 0/255."""
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise ValidationError(f"mask must be 2D, got shape {mask.shape}")
+    mask = _array(ValidationError, "mask", mask, 2)
     _write_pgm((mask > 0).astype(np.uint8) * 255, path)
 
 

@@ -47,18 +47,18 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError, _check_number, _check_type
+from .errors import ParameterError, ValidationError, _array, _check_number, _check_type
 from .kernels import Kernel, difference_kernel, make_feathered_kernel
 
 log = logging.getLogger("oms")
 
 MODES = ("dense", "strided")
+_check_frame = functools.partial(_array, ValidationError, "frame", ndim=2)
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class OmsParams:
         if self.r1 >= self.r2:
             raise ParameterError(f"center radius must be < surround radius (r1={self.r1}, r2={self.r2})")
         _check_number(ParameterError, "alpha", self.alpha, False, 0, 1)
-        if self.mode not in MODES:
+        if not (isinstance(self.mode, str) and self.mode in MODES):
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name, sigma in (("sigma_c", self.sigma_c), ("sigma_s", self.sigma_s)):
             if sigma is not None:
@@ -99,13 +99,6 @@ class OmsParams:
             make_feathered_kernel(self.r1, self.center_sigma),
             make_feathered_kernel(self.r2, self.surround_sigma),
         )
-
-
-def _check_frame(frame: np.ndarray) -> np.ndarray:
-    frame = np.asarray(frame)
-    if frame.ndim != 2:
-        raise ValidationError(f"frame must be 2D, got shape {frame.shape}")
-    return frame
 
 
 def _check_fits(n: int, shape: tuple[int, ...]) -> None:
@@ -164,7 +157,7 @@ def filter_frame(
     """
     frame = _check_binary_frame(frame)
     _check_type("kernel", kernel, Kernel)
-    if mode not in MODES:
+    if not (isinstance(mode, str) and mode in MODES):
         raise ParameterError(f"unknown filter mode {mode!r}")
     if mode == "strided":
         _check_number(ParameterError, "stride", stride, True, 1, math.inf)
@@ -312,14 +305,14 @@ def oms_frame(
 def oms_sequence(
     frames: Sequence[np.ndarray], params: OmsParams, threads: int = 1
 ) -> list[np.ndarray]:
-    """Apply oms_frame to every frame with kernels built once.
+    """Apply oms_frame to every frame in order, with kernels built once.
 
-    All frames must share one shape. Per-frame work is pure, so threaded
-    execution is bitwise identical to sequential; output order always
-    matches input order. Workers are capped at the frame count. A WARNING
+    All frames must share one shape, and are scored on the calling thread:
+    `threads` must be an integer >= 1 and is otherwise ignored. A WARNING
     is logged when alpha is at least sum(max(D, 0)), the largest score any
     binary frame can reach in either mode, so no pixel can spike.
     """
+    _check_number(ParameterError, "threads", threads, True, 1, math.inf)
     frames = [_check_frame(f) for f in (frames if np.iterable(frames) else [frames])]
     if not frames:
         return []
@@ -333,17 +326,12 @@ def oms_sequence(
     if params.alpha >= bound:
         log.warning("alpha %g >= %.6g, the largest score a binary frame can reach: "
                     "no pixel can spike", params.alpha, bound)
-    threads = min(threads, len(frames))
-    if threads <= 1:
-        return [oms_frame(f, params, center, surround) for f in frames]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda f: oms_frame(f, params, center, surround), frames))
+    return [oms_frame(f, params, center, surround) for f in frames]
 
 
 def apply_mask(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Pixel-wise AND of a binary frame and a mask, as uint8 {0,1}."""
-    frame = _check_frame(frame)
-    mask = _check_frame(mask)
+    frame, mask = _check_frame(frame), _array(ValidationError, "mask", mask, 2)
     if frame.shape != mask.shape:
         raise ValidationError(f"shape mismatch: frame {frame.shape} vs mask {mask.shape}")
     return (frame.astype(bool) & mask.astype(bool)).astype(np.uint8)

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the one rule for
-numeric fields and the one for JSON kinds."""
+"""Exception hierarchy shared across the package, and the one rule each for
+numeric fields, arrays and JSON kinds."""
 
 import numpy as np
 
@@ -29,6 +29,18 @@ def _check_number(error: type, name: str, value, integral: bool, lo, hi, open: b
             or not (lo < value < hi if open else lo <= value <= hi)):
         raise error(f"{name} must be {'an integer' if integral else 'a number'} in "
                     f"{'(' if open else '['}{lo}, {hi}{')' if open else ']'}, got {value!r}")
+    return value
+
+
+def _array(error: type, what: str, value, ndim: int | None = None) -> np.ndarray:
+    """np.asarray(value), once it is an array (a ragged nested list is not)
+    with `ndim` dimensions if given; else raises `error`."""
+    try:
+        value = np.asarray(value)
+    except ValueError as exc:  # a ragged nested list
+        raise error(f"{what} is not an array: {exc}") from None
+    if ndim is not None and value.ndim != ndim:
+        raise error(f"{what} must be {ndim}D, got shape {value.shape}")
     return value
 
 

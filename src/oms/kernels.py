@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _check_number, _check_type
+from .errors import ParameterError, _array, _check_number, _check_type
 from .events import _MAX_SIDE
 
 # Largest radius: a 2r x 2r kernel wider than any frame (_MAX_SIDE) never fits.
@@ -29,9 +29,10 @@ class Kernel:
 
     def __post_init__(self):
         _check_number(ParameterError, "kernel radius", self.radius, True, 1, _MAX_RADIUS)
-        if np.shape(self.weights) != (self.size, self.size):
-            raise ParameterError(f"radius-{self.radius} kernel weights must be "
-                                 f"{self.size}x{self.size}, got shape {np.shape(self.weights)}")
+        weights = _array(ParameterError, "kernel weights", self.weights)
+        if weights.shape != (self.size, self.size) or weights.dtype.kind not in "biuf":
+            raise ParameterError(f"radius-{self.radius} kernel weights must be {self.size}x"
+                                 f"{self.size} numbers, got {weights.dtype} of shape {weights.shape}")
 
     @property
     def size(self) -> int:

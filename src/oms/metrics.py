@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParameterError, ValidationError, _array, _json
 
 #: Sentinel returned by iou() when both masks are empty (frame skipped).
 IOU_SKIP = float("nan")
@@ -91,10 +91,13 @@ def evaluate_sequence(
     or (report, frame_scores) when with_frames is set, where frame_scores[i]
     is None for skipped frames.
     """
-    if not (len(preds) == len(gts) == len(dvs_frames)):
-        raise ValidationError(
-            f"length mismatch: {len(preds)} preds, {len(gts)} gts, {len(dvs_frames)} frames"
-        )
+    try:
+        lengths = tuple(map(len, (preds, gts, dvs_frames)))
+    except TypeError as exc:  # an argument that is not a sequence
+        raise ValidationError(f"preds, gts and dvs_frames must be sequences: {exc}") from None
+    if len(set(lengths)) != 1:
+        raise ValidationError("length mismatch: {} preds, {} gts, {} frames".format(*lengths))
+    _json("with_frames", with_frames, bool, ParameterError)
     active, inter, pred_area, gt_area = _counts(zip(preds, gts, dvs_frames))
     keep = gt_area > 0
     inter, pred_area, gt_area, active = (c[keep] for c in (inter, pred_area, gt_area, active))
@@ -121,11 +124,9 @@ def _counts(frames) -> np.ndarray:
     pixel is active. All inputs are 2-D and of one shape across the frames."""
     counts, shape = [], None
     for k, (pred, gt, dvs) in enumerate(frames):
-        try:
-            pred, gt = np.asarray(pred).astype(bool), np.asarray(gt).astype(bool)
-            dvs = np.ones_like(pred) if dvs is None else np.asarray(dvs).astype(bool)
-        except ValueError as exc:  # a ragged nested list
-            raise ValidationError(f"frame {k} is not an array: {exc}") from exc
+        pred, gt = (_array(ValidationError, f"frame {k}", a).astype(bool) for a in (pred, gt))
+        dvs = (np.ones_like(pred) if dvs is None
+               else _array(ValidationError, f"frame {k}", dvs).astype(bool))
         shape = shape or pred.shape
         if len(shape) != 2 or not pred.shape == gt.shape == dvs.shape == shape:
             raise ValidationError(

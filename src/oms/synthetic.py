@@ -41,7 +41,7 @@ class SceneObject:
     start: tuple[float, float]
 
     def __post_init__(self):
-        if self.shape not in SHAPES:
+        if not (isinstance(self.shape, str) and self.shape in SHAPES):
             raise ParameterError(f"object shape must be one of {SHAPES}, got {self.shape!r}")
         _check_number(ParameterError, "object size", self.size, True, 1, math.inf)
         object.__setattr__(self, "velocity", _pair("object velocity", self.velocity, -_MAX_SIDE))

@@ -1,3 +1,6 @@
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,20 @@ def br1_data():
 @pytest.fixture(scope="session")
 def br3_data():
     return pipeline_inputs(BR3_CONFIG)
+
+
+@contextlib.contextmanager
+def thread_starts():
+    """A list of every threading.Thread started inside the with-block."""
+    started, start = [], threading.Thread.start
+
+    def recording(thread):
+        started.append(thread)
+        start(thread)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threading.Thread, "start", recording)
+        yield started
 
 
 @pytest.fixture

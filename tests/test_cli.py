@@ -1,8 +1,10 @@
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,6 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oms import engine
 from oms.cli import main
 from oms.dataset_io import (
     DatasetManifest, ParseError, import_evimo, mask_filename, read_events, read_mask,
@@ -21,6 +22,7 @@ from oms.events import accumulate_frame, window_events
 from oms.synthetic import SceneConfig, SceneObject, generate_scene
 from oms.events import EVENT_DTYPE, SensorGeometry
 
+from conftest import thread_starts
 from test_dataset_io import build_evimo_fixture
 
 
@@ -258,30 +260,30 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert "internal error" not in result.output
 
-    @pytest.mark.parametrize("config, flags, pools, threads", [
-        (None, [], [], 1),
-        ({"threads": 4}, [], [], 1),  # not read: ignored like any unknown key
-        (None, ["--threads", "2"], [2], 2),
-    ])
-    def test_one_thread_unless_flag_asks(self, dataset, tmp_path, monkeypatch,
-                                         config, flags, pools, threads):
+    @pytest.mark.parametrize("config, flags", [
+        (None, []),
+        ({"threads": 4}, []),  # not read: ignored like any unknown key
+        (None, ["--threads", "2"]),  # checked, then ignored
+    ], ids=["default", "config_threads", "flag_threads"])
+    def test_run_starts_no_thread(self, dataset, tmp_path, config, flags):
         manifest_path, _ = dataset
-        started = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             flags = ["--config", tmp_path / "cfg.json", *flags]
         out = tmp_path / "run"
-        result = run_cli("run", "--manifest", manifest_path, "--out", out, *flags)
+        with thread_starts() as started:
+            result = run_cli("run", "--manifest", manifest_path, "--out", out, *flags)
         assert result.exit_code == 0, result.output
-        assert started == pools
-        assert json.loads((out / "run.json").read_text())["threads"] == threads
+        assert started == []
+        assert "threads" not in json.loads((out / "run.json").read_text())
+
+    def test_import_loads_no_thread_pool(self):
+        # A fresh interpreter: the test session itself may have loaded it.
+        code = "import oms.cli, sys; assert 'concurrent.futures' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
 
     @pytest.mark.parametrize("row, field", [("-5,1,1,1", "t"), ("5,70000,1,1", "x")])
     def test_csv_overflow_exit_2(self, tmp_path, row, field):
@@ -503,8 +505,8 @@ def scene_doc(**changes):
 
 class TestCliFuzz:
     """run, eval and bench exit 0 or 2 on any config, thread count, alpha
-    and radii, and never print or write a NaN; synth exits 0 or 2 on any
-    scene config."""
+    and radii, start no thread, and never print or write a NaN; synth exits
+    0 or 2 on any scene config."""
 
     @settings(max_examples=60, deadline=None)
     @given(config=FUZZ_CONFIGS, threads=FUZZ_THREADS, flags=FUZZ_FLAGS, verbose=st.booleans())
@@ -512,15 +514,7 @@ class TestCliFuzz:
     def test_run_eval_bench(self, dataset, config, threads, flags, verbose):
         manifest_path, _ = dataset
         args = [a for kv in flags.items() for a in kv]
-        workers = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-                super().__init__(max_workers)
-
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "ThreadPoolExecutor", CountingPool)
+        with tempfile.TemporaryDirectory() as tmp, thread_starts() as started:
             tmp = Path(tmp)
             cfg = tmp / "cfg.json"
             cfg.write_text(json.dumps(config))
@@ -538,7 +532,7 @@ class TestCliFuzz:
             results.append(run_cli("bench", "--manifest", manifest_path, *args))
             if results[2].exit_code == 0:
                 strict_json(results[2].output)
-        assert all(w <= 2 for w in workers)
+        assert started == []
         for result in results:
             assert result.exit_code in (0, 2), result.output
             assert "NaN" not in result.output and "Infinity" not in result.output

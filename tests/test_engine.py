@@ -24,6 +24,8 @@ from oms import (
 )
 from oms.kernels import difference_kernel
 
+from conftest import thread_starts
+
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -597,31 +599,18 @@ class TestOmsSequence:
         par = oms_sequence(frames, params, threads=4)
         assert all(np.array_equal(a, b) for a, b in zip(seq, par))
 
-    def test_workers_capped_at_frame_count(self, monkeypatch, rng):
-        workers = []
-
-        class RecordingPool:
-            """Stands in for ThreadPoolExecutor; runs the work in this thread."""
-
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
-        frame = (rng.random((32, 32)) < 0.3).astype(np.uint8)
+    def test_starts_no_thread(self, rng):
+        frames = [(rng.random((32, 32)) < 0.3).astype(np.uint8) for _ in range(3)]
         params = OmsParams(alpha=0.13)
-        masks = oms_sequence([frame] * 3, params, threads=64)
-        assert workers == [3] and len(masks) == 3
-        oms_sequence([frame], params, threads=8)
-        assert workers == [3]  # one frame runs inline, without a pool
+        with thread_starts() as started:
+            masks = oms_sequence(frames, params, threads=64)
+        assert started == []
+        assert all(np.array_equal(m, oms_frame(f, params)) for m, f in zip(masks, frames))
+
+    @pytest.mark.parametrize("threads", ["x", 0, -1, 2.5, True, None])
+    def test_threads_checked(self, threads):
+        with pytest.raises(ParameterError, match="threads must be an integer"):
+            oms_sequence([np.zeros((16, 16), np.uint8)], OmsParams(), threads=threads)
 
     def test_warns_when_alpha_cannot_fire(self, caplog):
         self.check_cannot_fire_warning(caplog, "dense")

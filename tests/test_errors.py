@@ -1,9 +1,13 @@
 """The one rule for numeric fields: every value type raises its own OmsError
 subclass for a value of the wrong type or range, never TypeError; and the
-input contract of every exported callable."""
+input contract of every exported callable, as a table and fuzzed."""
+
+import inspect
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oms
 from oms import (
@@ -124,6 +128,8 @@ def test_interval_ends(value, open, ok):
 
 FRAME = np.zeros((16, 16), np.uint8)
 KERNEL = make_feathered_kernel(2, 1.0)
+RAGGED = [[1, 2], [3]]  # a nested list that is not an array
+ARRAY = np.zeros((2, 2))  # a multi-element array where a string or a bool belongs
 
 # One bad call or more for each exported callable, and the error it raises.
 # Data of the wrong kind or content raises ValidationError or ParameterError;
@@ -161,6 +167,22 @@ CONTRACT = [
     ("scene_br", lambda: scene_br(None), TypeError),
     ("score_frame", lambda: score_frame(FRAME, None), ValidationError),
     ("window_events", lambda: window_events(EVENTS, None), ValidationError),
+    ("oms_sequence", lambda: oms_sequence([FRAME], OmsParams(), threads="x"), ParameterError),
+    ("oms_sequence", lambda: oms_sequence([FRAME], OmsParams(), threads=True), ParameterError),
+    ("oms_sequence", lambda: oms_sequence([RAGGED], OmsParams()), ValidationError),
+    ("oms_frame", lambda: oms_frame(RAGGED, OmsParams()), ValidationError),
+    ("oms_scores", lambda: oms_scores(RAGGED, OmsParams()), ValidationError),
+    ("filter_frame", lambda: filter_frame(RAGGED, KERNEL), ValidationError),
+    ("apply_mask", lambda: apply_mask(RAGGED, FRAME), ValidationError),
+    ("apply_mask", lambda: apply_mask(FRAME, RAGGED), ValidationError),
+    ("Kernel", lambda: Kernel(2, 1.0, RAGGED), ParameterError),
+    ("Kernel", lambda: Kernel(1, 1.0, [[None, None], [None, None]]), ParameterError),
+    ("evaluate_sequence", lambda: evaluate_sequence(None, [FRAME], [FRAME]), ValidationError),
+    ("evaluate_sequence", lambda: evaluate_sequence([FRAME], [FRAME], [FRAME], ARRAY),
+     ParameterError),
+    ("OmsParams", lambda: OmsParams(mode=ARRAY), ParameterError),
+    ("filter_frame", lambda: filter_frame(FRAME, KERNEL, mode=ARRAY), ParameterError),
+    ("SceneObject", lambda: SceneObject(np.zeros(2), 2, (1, 1), (1, 1)), ParameterError),
 ]
 # Exceptions take any message, so no argument is bad.
 NO_BAD_ARGUMENT = {"OmsError", "ParameterError", "ParseError", "ValidationError"}
@@ -177,3 +199,118 @@ def test_input_contract(name, call, error):
 def test_input_contract_covers_every_export():
     exported = {name for name in oms.__all__ if callable(getattr(oms, name))}
     assert {name for name, *_ in CONTRACT} | NO_BAD_ARGUMENT == exported
+    assert set(FUZZ) | NO_BAD_ARGUMENT == exported
+
+
+# --- the contract, fuzzed ----------------------------------------------------
+#
+# Every exported callable gets valid arguments with one of them (now and then
+# two) replaced by junk, or one argument too few or too many. Any raise must be
+# an OmsError, except the documented TypeError: a wrong argument count, or a
+# foreign object where an OmsParams, Kernel or SceneConfig belongs.
+
+BLOB = np.zeros((16, 16), np.uint8)
+BLOB[5:11, 4:9] = 1
+ARRAYS = [np.full((16, 16), 0.5), np.zeros((2, 16, 16)), np.full((2, 2), np.nan),
+          [[None, None], [None, None]], [["a", "b"], ["c", "d"]]]
+
+
+def junk(size: bool):
+    """One kind of bad argument: None, a string, a float (NaN and inf too), a
+    bool, a negative or huge int, a float, 3-D or non-numeric array, a ragged
+    nested list, or a multi-element array where a string belongs. Where the
+    argument sizes an allocation (size), no int is above 64."""
+    large = st.integers(0, 64) if size else st.sampled_from([2**16, 2**63 - 1, 2**63, 2**70])
+    return st.sampled_from([
+        st.none(), st.text(max_size=3), st.floats(), st.just(float("nan")), st.booleans(),
+        st.integers(-2**70, -1), large, st.sampled_from(ARRAYS),
+        st.sampled_from([RAGGED, [[1, [2]], [3, 4]], [[1, 2], 3]]), st.just(ARRAY),
+    ]).flatmap(lambda kind: kind)
+
+
+def slot(valid, kind=None, size=False):
+    """(kind, valid strategy, junk strategy) of one argument; kind is the type
+    it must have, where a foreign object raises TypeError."""
+    return kind, valid, junk(size)
+
+
+FRAMES = st.sampled_from([FRAME, BLOB, BLOB.astype(bool), BLOB.tolist()])
+PARAMS = st.sampled_from([OmsParams(), OmsParams(alpha=0.1),
+                          OmsParams(r1=1, r2=3, s_s=2, alpha=0.05, mode="strided")])
+KERNELS = st.sampled_from([KERNEL, make_feathered_kernel(1, 0.5), Kernel(1, 0.0, [[0.25] * 2] * 2),
+                           Kernel(1, 1.0, np.full((2, 2), np.nan))])
+CONFIGS = st.sampled_from([scene(), scene(objects=()), scene(noise_rate=2.0, seed=5)])
+ROWS = st.sampled_from([EVENTS, [(1, 2, 3, 1), (2, 0, 0, -1)], [], [Event(5, 1, 1, -1)]])
+STAMPS = st.sampled_from([[1, 2], (0,), np.array([1, 5]), []])
+SIDES = st.integers(1, 64)
+GEOMETRY = st.sampled_from([(8, 8), SensorGeometry(16, 8)]) | st.tuples(SIDES, SIDES)
+NUMBER = st.floats(0, 4) | st.integers(0, 4)
+PAIR = st.tuples(NUMBER, NUMBER)
+MODES = st.sampled_from(["dense", "strided"])
+KERN = (Kernel, type(None))  # either kernel may be None
+
+FUZZ = {
+    "Event": [slot(st.integers(0, 9))] * 4,
+    "FrameScore": [slot(NUMBER)] * 5,
+    "Kernel": [slot(st.integers(1, 3), size=True), slot(NUMBER),
+               slot(st.sampled_from([np.full((2, 2), 0.25), [[1, 0], [0, 1]], np.ones((4, 4))]))],
+    "OmsParams": [slot(st.integers(1, 3)), slot(st.integers(2, 5)), slot(st.integers(1, 3)),
+                  slot(st.floats(0, 1)), slot(st.none() | st.floats(0.2, 3)),
+                  slot(st.none() | st.floats(0.2, 3)), slot(MODES)],
+    "SceneConfig": [slot(GEOMETRY, size=True), slot(st.integers(2, 4), size=True),
+                    slot(st.floats(0.01, 0.5)), slot(PAIR),
+                    slot(st.just((SceneObject("disk", 2, (1.0, 0.0), (3.0, 4.0)),))),
+                    slot(NUMBER), slot(st.integers(0, 9))],
+    "SceneObject": [slot(st.sampled_from(["disk", "rect"])), slot(st.integers(1, 3), size=True),
+                    slot(PAIR), slot(PAIR)],
+    "SensorGeometry": [slot(SIDES, size=True)] * 2,
+    "SequenceReport": [slot(NUMBER)] * 6,
+    "accumulate_frame": [slot(ROWS), slot(GEOMETRY, size=True)],
+    "apply_mask": [slot(FRAMES)] * 2,
+    "as_event_array": [slot(ROWS)],
+    "bf_ratio": [slot(FRAMES)] * 2,
+    "detection": [slot(FRAMES)] * 2,
+    "evaluate_sequence": [slot(st.lists(FRAMES, min_size=1, max_size=2))] * 3 + [slot(st.booleans())],
+    "filter_frame": [slot(FRAMES), slot(KERNELS, Kernel), slot(st.integers(1, 3)), slot(MODES)],
+    "generate_scene": [slot(CONFIGS, SceneConfig)],
+    "iou": [slot(FRAMES)] * 2,
+    "kernel_to_text": [slot(KERNELS, Kernel)],
+    "make_feathered_kernel": [slot(st.integers(1, 4), size=True), slot(st.floats(0.2, 3))],
+    "oms_frame": [slot(FRAMES), slot(PARAMS, OmsParams), slot(KERNELS, KERN), slot(KERNELS, KERN)],
+    "oms_scores": [slot(FRAMES), slot(PARAMS, OmsParams), slot(KERNELS, KERN), slot(KERNELS, KERN)],
+    "oms_sequence": [slot(st.lists(FRAMES, max_size=2)), slot(PARAMS, OmsParams), slot(SIDES)],
+    "render_frames": [slot(CONFIGS, SceneConfig)],
+    "scene_br": [slot(CONFIGS, SceneConfig)],
+    "score_frame": [slot(FRAMES)] * 2,
+    "window_events": [slot(ROWS), slot(STAMPS)],
+}
+
+
+def documented_type_error(call, args, slots) -> bool:
+    """Whether TypeError is the documented outcome of call(*args)."""
+    try:
+        inspect.signature(call).bind(*args)
+    except TypeError:
+        return True
+    return any(kind is not None and not isinstance(a, kind) for a, (kind, *_) in zip(args, slots))
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_raise_is_an_oms_error(name, data):
+    call, slots = getattr(oms, name), FUZZ[name]
+    n = len(slots)
+    arity = data.draw(st.sampled_from([n] * 8 + [n - 1, n + 1]), "arity")
+    bad = {data.draw(st.integers(0, n - 1), "junk argument")}
+    bad.add(data.draw(st.sampled_from([-1] * 3 + list(range(n))), "second junk argument"))
+    args = [data.draw(junk if i in bad else valid, f"argument {i}")
+            for i, (_, valid, junk) in enumerate(slots[:arity])]
+    args += [None] * (arity - len(args))
+    try:
+        call(*args)
+    except OmsError:
+        pass
+    except TypeError:
+        if not documented_type_error(call, args, slots):
+            raise
