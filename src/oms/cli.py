@@ -8,7 +8,6 @@ environment variable sets log verbosity (DEBUG/INFO/WARNING/ERROR).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import json
@@ -25,20 +24,21 @@ import numpy as np
 from . import dataset_io
 from .dataset_io import (
     DatasetManifest,
+    _event_chunks,
     _read_json,
     _read_masks,
     _write_file,
     _write_pgm,
-    read_events,
+    mask_filename,
     read_mask,
     write_dataset,
     write_mask,
 )
-from .engine import OmsParams, _kernels_for, oms_frame, oms_sequence
+from .engine import OmsParams, _kernels_for, _sequence_kernels, oms_frame
 from .errors import OmsError, ParseError, ValidationError, _json
-from .events import bin_events
+from .events import _frames
 from .kernels import kernel_to_text, make_feathered_kernel
-from .metrics import evaluate_sequence
+from .metrics import _counts, _report
 from .synthetic import SceneConfig, generate_scene
 
 log = logging.getLogger("oms")
@@ -46,6 +46,7 @@ log = logging.getLogger("oms")
 RUN_MANIFEST_NAME = "run.json"
 PRED_PATTERN = "oms_{:05d}.pgm"
 OVERLAY_PATTERN = "overlay_{:05d}.pgm"
+_WRITE_GROUP = 8  # masks `oms run` holds before it writes them
 
 
 def _setup_logging():
@@ -55,13 +56,13 @@ def _setup_logging():
 
 
 def handle_errors(f):
-    """Map package and file-system errors to exit 2, unexpected ones to exit 1."""
+    """Map package, file-system and memory errors to exit 2, unexpected ones to exit 1."""
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except (OmsError, OSError) as exc:
+        except (OmsError, OSError, MemoryError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except click.ClickException:
@@ -107,33 +108,55 @@ def resolve_params(config_doc: dict, **flags) -> OmsParams:
     return OmsParams(**merged)
 
 
-def build_frames(manifest_path, timings: dict):
-    """(manifest, (T, H, W) uint8 stack of binary frames) for a dataset.
+def open_frames(manifest_path, lap):
+    """(manifest, frames), where frames yields the dataset's binary frames (one
+    reused buffer) a window at a time as it reads, checks and bins the event
+    file. lap (of _laps) charges the manifest, the event file's header and
+    each read to "load", the binning to "bin". The header is checked at once;
+    a bad event raises, when the frames reach it, a ParseError that starts
+    with the event file's path."""
+    manifest = DatasetManifest.load(manifest_path)
+    event_path, _ = manifest.resolve(Path(manifest_path).parent)
+    chunks = _event_chunks(event_path, dataset_io._CHUNK)
+    next(chunks)  # opens the file and checks its header now, before `oms run` touches --out
+    lap("load")
+    ts = np.array(manifest.mask_timestamps, dtype=np.int64)  # checked by the manifest
+    w, h = manifest.geometry
 
-    Records the "load" (manifest + events) and "bin" stages in timings, in
-    milliseconds. A bad event (unsorted, or outside the manifest geometry)
-    raises a ParseError that starts with the event file's path.
-    """
-    with _timed(timings, "load"):
-        manifest = DatasetManifest.load(manifest_path)
-        event_path, _ = manifest.resolve(Path(manifest_path).parent)
-        events = read_events(event_path)
-    with _timed(timings, "bin"):
+    def reads():
+        lap("bin")
+        for chunk in chunks:
+            lap("load")
+            yield chunk
+            lap("bin")
+
+    def frames():
         try:
-            frames = bin_events(events, manifest.mask_timestamps, manifest.geometry)
+            for frame in _frames(reads(), ts, manifest.geometry):
+                lap("bin")
+                yield frame
         except ValidationError as exc:
             raise ParseError(f"{event_path}: {exc}") from exc
-    return manifest, frames
+        except MemoryError as exc:
+            raise MemoryError(f"{len(ts)} frames of {w}x{h} pixels do not fit in memory: "
+                              f"{exc}") from None
+
+    return manifest, frames()
 
 
-@contextlib.contextmanager
-def _timed(timings: dict, stage: str):
-    """Add the with-block's wall time to timings[stage], in milliseconds."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - t0) * 1e3
+def _laps(timings: dict):
+    """A function lap(stage) that adds the wall time since its last call (or
+    since this one) to timings[stage], in milliseconds; stage None drops it."""
+    last = time.perf_counter()
+
+    def lap(stage):
+        nonlocal last
+        now = time.perf_counter()
+        if stage:
+            timings[stage] = timings.get(stage, 0.0) + (now - last) * 1e3
+        last = now
+
+    return lap
 
 
 @main.command("run")
@@ -158,28 +181,37 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
     params, overlays = (
         _read_json(config_path, "run config", settings) if config_path else settings({}))
 
-    timings: dict[str, float] = {}
-    manifest, frames = build_frames(manifest_path, timings)
+    timings = dict.fromkeys(("load", "bin", "score", "write"), 0.0)
+    lap = _laps(timings)
+    manifest, frames = open_frames(manifest_path, lap)
+    n = len(manifest.mask_timestamps)
     if overlays:
-        with _timed(timings, "load"):
-            gts = _read_masks(manifest, manifest_path)
+        gts = _read_masks(manifest, manifest_path)
+        lap("load")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / RUN_MANIFEST_NAME).unlink(missing_ok=True)  # written last: marks a complete run
     # So that --out holds one run, an earlier run's masks and overlays that
     # this run does not rewrite are removed; the rest are overwritten in place.
     patterns = (PRED_PATTERN, OVERLAY_PATTERN) if overlays else (PRED_PATTERN,)
-    written = {pattern.format(i) for pattern in patterns for i in range(len(frames))}
+    written = {pattern.format(i) for pattern in patterns for i in range(n)}
     for path in out.iterdir():
         if re.fullmatch(r"(oms|overlay)_\d{5,}\.pgm", path.name) and path.name not in written:
             path.unlink()
-    with _timed(timings, "score"):
-        preds = oms_sequence(frames, params)
-    with _timed(timings, "write"):
-        for i, pred in enumerate(preds):
-            write_mask(pred, out / PRED_PATTERN.format(i))
-            if overlays:
-                _write_overlay(out / OVERLAY_PATTERN.format(i), frames[i], gts[i], pred)
+    lap(None)
+    preds = []  # written _WRITE_GROUP at a time, so that the scorer's buffers stay in cache
+    for i, frame in enumerate(frames):
+        if i == 0:  # once the first window is binned, as a sequence's kernels
+            center, surround = _sequence_kernels(frame.shape, params)
+        preds.append(oms_frame(frame, params, center, surround))
+        lap("score")
+        if overlays:
+            _write_overlay(out / OVERLAY_PATTERN.format(i), frame, gts[i], preds[-1])
+        if len(preds) == _WRITE_GROUP or i == n - 1:
+            for j, pred in enumerate(preds, i + 1 - len(preds)):
+                write_mask(pred, out / PRED_PATTERN.format(j))
+            preds.clear()
+        lap("write")
     run_doc = {
         "format_version": dataset_io.FORMAT_VERSION,
         "manifest": str(Path(manifest_path).resolve()),
@@ -188,14 +220,14 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
             "alpha": params.alpha, "mode": params.mode,
             "sigma_c": params.center_sigma, "sigma_s": params.surround_sigma,
         },
-        "frames": len(preds),
+        "frames": n,
         "emit_overlays": overlays,
         "timings_ms": {stage: round(timings[stage], 3)
                        for stage in ("load", "bin", "score", "write")},
     }
     _write_file(out / RUN_MANIFEST_NAME, (json.dumps(run_doc, indent=2) + "\n").encode())
-    log.info("processed %d frames in %.3fs", len(preds), timings["score"] / 1e3)
-    click.echo(f"wrote {len(preds)} masks to {out}")
+    log.info("processed %d frames in %.3fs", n, timings["score"] / 1e3)
+    click.echo(f"wrote {n} masks to {out}")
 
 
 def _write_overlay(path, frame, gt, pred):
@@ -213,14 +245,21 @@ def _write_overlay(path, frame, gt, pred):
 @handle_errors
 def cmd_eval(pred_dir, manifest_path, out_path, verbose):
     """Evaluate predicted masks against a dataset's ground truth."""
-    timings: dict[str, float] = {}
-    manifest, frames = build_frames(manifest_path, timings)
-    with _timed(timings, "read_masks"):
-        gts = _read_masks(manifest, manifest_path)
-        preds = [read_mask(Path(pred_dir) / PRED_PATTERN.format(i), manifest.geometry)
-                 for i in range(len(gts))]
-    with _timed(timings, "evaluate"):
-        report, frame_scores = evaluate_sequence(preds, gts, frames, with_frames=True)
+    timings = dict.fromkeys(("load", "bin", "read_masks", "evaluate"), 0.0)
+    lap = _laps(timings)
+    manifest, frames = open_frames(manifest_path, lap)
+    _, mask_dir = manifest.resolve(Path(manifest_path).parent)
+
+    def triples():
+        for i, frame in enumerate(frames):
+            gt = read_mask(mask_dir / mask_filename(i), manifest.geometry)
+            pred = read_mask(Path(pred_dir) / PRED_PATTERN.format(i), manifest.geometry)
+            lap("read_masks")
+            yield pred, gt, frame
+            lap("evaluate")
+
+    report, frame_scores = _report(_counts(triples()), with_frames=True)
+    lap("evaluate")
     log.info("eval timings_ms %s", json.dumps({k: round(v, 3) for k, v in timings.items()}))
     doc = report.to_dict()
     if verbose:
@@ -251,24 +290,24 @@ def cmd_bench(manifest_path, **flags):
     """Measure per-frame latency percentiles and throughput."""
     params = resolve_params({}, **flags)
     timings: dict[str, float] = {}
-    manifest, frames = build_frames(manifest_path, timings)
-    if len(frames) == 0:
+    frames = [frame.copy() for frame in open_frames(manifest_path, _laps(timings))[1]]
+    if not frames:
         click.echo("no frames in dataset; nothing to benchmark")
         return
-    kernels = _kernels_for(frames.shape[1:], params)
+    kernels = _kernels_for(frames[0].shape, params)
 
     oms_frame(frames[0], params, *kernels)  # warm-up
     latencies: dict[int, float] = {}
-    with _timed(timings, "single"):
-        for k, frame in enumerate(frames):
-            with _timed(latencies, k):
-                oms_frame(frame, params, *kernels)
+    lap = _laps(latencies)
+    for k, frame in enumerate(frames):
+        oms_frame(frame, params, *kernels)
+        lap(k)
     lat_ms = np.array(list(latencies.values()))
     click.echo(json.dumps({
         "frames": len(frames),
         "p50_ms": float(np.percentile(lat_ms, 50)),
         "p95_ms": float(np.percentile(lat_ms, 95)),
-        "throughput_fps_single": len(frames) / (timings["single"] / 1e3),
+        "throughput_fps_single": len(frames) / (lat_ms.sum() / 1e3),
         "timings_ms": {stage: round(timings[stage], 3) for stage in ("load", "bin")},
     }, indent=2))
 

@@ -9,7 +9,8 @@ Native event file (".evt"):
     Both readers and write_events check records by oms.events' one rule;
     read_events raises its ValidationError as a ParseError naming the file
     and the record's byte offset or CSV line. Order is checked on write and
-    when a stream is binned, not on read.
+    when a stream is binned, not on read. `oms run` and `oms eval` read a
+    native body _CHUNK records at a time (_event_chunks).
 
 Masks are binary PGM (P5, maxval 255): 0 background, 255 moving object.
 Reads are tolerant (any nonzero byte decodes to 1, since public dataset
@@ -30,6 +31,7 @@ import json
 import os
 import re
 import struct
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -59,11 +61,13 @@ def write_events(events, geometry: SensorGeometry, path) -> None:
     _write_file(path, header + ev.tobytes())
 
 
-def _write_file(path, data: bytes) -> None:
-    """Make data the whole content of the file at path, overwriting it in place."""
+def _write_file(path, *parts) -> None:
+    """Make the bytes-like parts the whole content of the file at path,
+    overwriting it in place."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     with open(fd, "wb") as f:
-        f.write(data)
+        for part in parts:
+            f.write(part)
         f.truncate()
 
 
@@ -77,20 +81,49 @@ def _open(path: Path, what: str):
         raise ParseError(f"{path}: cannot read {what}: {exc.strerror}") from exc
 
 
+_CHUNK = 65536  # records per read of a streamed event file: 852 KB
+
+
 def read_events(path) -> np.ndarray:
     """Read a native binary event file (or the CSV fallback) into EVENT_DTYPE."""
-    path = Path(path)
+    chunks = _event_chunks(Path(path), sys.maxsize)
+    next(chunks)
+    return next(chunks, np.empty(0, EVENT_DTYPE))
+
+
+def _event_chunks(path: Path, size: int):
+    """The records of an event file as EVENT_DTYPE chunks of at most size
+    records, after a first None once the header or CSV text is checked. Each
+    native chunk is read into one reused buffer, valid until the next read,
+    and checked by the record check with the header's geometry. A
+    ValidationError is raised as a ParseError naming the file."""
     try:
         with _open(path, "event file") as f:
             head = f.read(HEADER_SIZE)
             if head[:4] == MAGIC:
-                return _parse_native(f, _header_geometry(head, path))
+                geometry = _header_geometry(head, path)
+                n, tail = divmod(os.fstat(f.fileno()).st_size - HEADER_SIZE, RECORD_SIZE)
+                at = lambda i: f"byte offset {HEADER_SIZE + i * RECORD_SIZE}"
+                if tail:
+                    raise ValidationError(f"truncated record at {at(n)}")
+                yield
+                buf = np.empty(min(size, n), dtype=EVENT_DTYPE)
+                for start in range(0, n, size):
+                    chunk = buf[: n - start]
+                    got = f.readinto(chunk.view(np.uint8)) // RECORD_SIZE
+                    if got != len(chunk):  # the file was cut since its size was taken
+                        raise ValidationError(f"truncated record at {at(start + got)}")
+                    _check_records(chunk, geometry, lambda i: at(start + i))
+                    yield chunk
+                return
             text = (head + f.read()).decode("ascii", "replace")
-        if text.lstrip().startswith(CSV_HEADER):
-            return _parse_csv(text)
+        if not text.lstrip().startswith(CSV_HEADER):
+            raise ParseError(f"{path}: bad magic at byte offset 0 (not {MAGIC!r} or CSV)")
+        events = _parse_csv(text)
+        yield
+        yield from (events[i : i + size] for i in range(0, len(events), size))
     except ValidationError as exc:  # the record checks name the record, this the file
         raise ParseError(f"{path}: {exc}") from exc
-    raise ParseError(f"{path}: bad magic at byte offset 0 (not {MAGIC!r} or CSV)")
 
 
 def event_file_geometry(path) -> SensorGeometry:
@@ -109,17 +142,6 @@ def _header_geometry(head: bytes, path) -> SensorGeometry:
         return SensorGeometry(*struct.unpack("<HH", head[4:8])).validate()
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def _parse_native(f, geometry: SensorGeometry) -> np.ndarray:
-    """Records of an open native file past its header, located by byte offset."""
-    n, tail = divmod(os.fstat(f.fileno()).st_size - HEADER_SIZE, RECORD_SIZE)
-    at = lambda i: f"byte offset {HEADER_SIZE + i * RECORD_SIZE}"
-    if tail:
-        raise ValidationError(f"truncated record at {at(n)}")
-    events = np.fromfile(f, dtype=EVENT_DTYPE, count=n)
-    _check_records(events, geometry, at)
-    return events
 
 
 def _parse_csv(text: str) -> np.ndarray:
@@ -146,13 +168,15 @@ def _parse_csv(text: str) -> np.ndarray:
 def write_mask(mask: np.ndarray, path) -> None:
     """Write a {0,1} mask as binary PGM with values 0/255."""
     mask = _array(ValidationError, "mask", mask, 2)
-    _write_pgm((mask > 0).astype(np.uint8) * 255, path)
+    pixels = (mask > 0).view(np.uint8)
+    pixels *= 255
+    _write_pgm(pixels, path)
 
 
 def _write_pgm(pixels: np.ndarray, path) -> None:
     """Write a 2D uint8 array as binary PGM (P5, maxval 255)."""
     h, w = pixels.shape
-    _write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
+    _write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii"), np.ascontiguousarray(pixels))
 
 
 # Magic, width, height and maxval, separated by whitespace and by comments

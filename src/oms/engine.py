@@ -320,13 +320,20 @@ def oms_sequence(
     for i, f in enumerate(frames):
         if f.shape != shape:
             raise ValidationError(f"frame {i} has shape {f.shape}, expected {shape}")
+    center, surround = _sequence_kernels(shape, params)
+    return [oms_frame(f, params, center, surround) for f in frames]
+
+
+def _sequence_kernels(shape: tuple[int, ...], params: OmsParams) -> tuple[Kernel, Kernel]:
+    """_kernels_for(shape, params) for a sequence of frames, logging a WARNING
+    when alpha is at least sum(max(D, 0)), so no pixel can spike."""
     center, surround = _kernels_for(shape, params)
     d = difference_kernel(center, surround)
     bound = float(d[d > 0].sum())
     if params.alpha >= bound:
         log.warning("alpha %g >= %.6g, the largest score a binary frame can reach: "
                     "no pixel can spike", params.alpha, bound)
-    return [oms_frame(f, params, center, surround) for f in frames]
+    return center, surround
 
 
 def apply_mask(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -3,11 +3,11 @@
 Events are DVS brightness-change records (t, x, y, p) with t in integer
 microseconds and polarity p in {-1, +1}. Streams are kept as numpy
 structured arrays (EVENT_DTYPE) so that windowing and accumulation are
-vectorized; single records use the Event named tuple. A window is a plain
-EVENT_DTYPE slice of the stream, cut by the one window rule
-(_window_bounds). bin_events turns a whole stream into a (T, H, W) stack
-of binary frames in one pass; window_events and accumulate_frame do the
-same one window at a time.
+vectorized; single records use the Event named tuple. One frame iterator
+(_frames) bins a stream that arrives in chunks, yielding each window's
+binary frame as soon as the window closes: `oms run` and `oms eval` feed it
+an event file one read at a time, and bin_events stacks its frames over one
+in-memory chunk. window_events and accumulate_frame work one window at a time.
 
 Every rule for a record lives here: the field ranges (_RANGES), the row
 check (_event_rows), the record check (_check_records), the order check
@@ -131,17 +131,20 @@ def _from_columns(t, x, y, p) -> np.ndarray:
     return events
 
 
-def _check_order(events: np.ndarray) -> np.ndarray:
-    """The stream's timestamps as int64, after checking they never decrease
-    and fit int64."""
+def _check_order(events: np.ndarray, start: int = 0, last: int = 0) -> np.ndarray:
+    """The timestamps of events as int64, after checking they never decrease
+    from last on and fit int64; errors name an event by its index in a
+    stream whose event start is events[0]."""
     # Compared as stored (u64), so a t >= 2**63 cannot wrap negative.
-    t = np.ascontiguousarray(events["t"])
-    unsorted = t[1:] < t[:-1]
+    t = np.concatenate((np.array([last], np.uint64), events["t"]))
+    unsorted = t[1:] < t[:-1]  # event i against the one before it, last for event 0
     if unsorted.any():
-        raise ValidationError(f"event stream unsorted: t decreases at index {np.argmax(unsorted) + 1}")
+        i = start + int(unsorted.argmax())
+        raise ValidationError(f"event stream unsorted: t decreases at index {i}")
+    t = t[1:]
     if t.size and int(t[-1]) > _T_MAX:
         i = int(np.searchsorted(t, np.uint64(_T_MAX), side="right"))
-        raise ValidationError(f"timestamp {int(t[i])} at event index {i} exceeds {_T_MAX}")
+        raise ValidationError(f"timestamp {int(t[i])} at event index {start + i} exceeds {_T_MAX}")
     return t.view(np.int64)  # every t is at most _T_MAX, so no value changes
 
 
@@ -175,13 +178,6 @@ def _check_timestamps(mask_timestamps: Sequence[int]) -> np.ndarray:
     return ts
 
 
-def _window_bounds(t: np.ndarray, mask_timestamps: Sequence[int]) -> np.ndarray:
-    """The window rule, for a sorted int64 time column: window k is
-    events[bounds[k]:bounds[k + 1]] for the returned bounds."""
-    ts = _check_timestamps(mask_timestamps)
-    return np.concatenate(([0], np.searchsorted(t, ts, side="right")))
-
-
 def window_events(stream: EventsLike, mask_timestamps: Sequence[int]) -> list[np.ndarray]:
     """Partition a sorted stream into one window per mask timestamp.
 
@@ -191,7 +187,8 @@ def window_events(stream: EventsLike, mask_timestamps: Sequence[int]) -> list[np
     are dropped (no ground truth exists for them).
     """
     ev = as_event_array(stream)
-    bounds = _window_bounds(_check_order(ev), mask_timestamps)
+    t = _check_order(ev)
+    bounds = np.concatenate(([0], np.searchsorted(t, _check_timestamps(mask_timestamps), "right")))
     _check_records(ev)
     return [ev[bounds[k] : bounds[k + 1]] for k in range(len(bounds) - 1)]
 
@@ -203,29 +200,49 @@ def bin_events(
 
     Returns a (T, height, width) uint8 stack whose frame k equals
     accumulate_frame(window_events(stream, mask_timestamps)[k], geometry).
-    Order and polarity are checked once over the whole stream, bounds
-    over the events that land in a window.
+    Order and polarity are checked over the whole stream, bounds over the
+    events that land in a window.
     """
     geometry = _as_geometry(geometry)
-    ev = as_event_array(stream)
-    bounds = _window_bounds(_check_order(ev), mask_timestamps)
-    _check_records(ev[: bounds[-1]], geometry)
-    _check_records(ev[bounds[-1] :], where=lambda i: f"event {bounds[-1] + i}")
-    return _paint(ev, bounds, geometry)
-
-
-def _paint(events: np.ndarray, bounds, geometry: SensorGeometry) -> np.ndarray:
-    """A (len(bounds) - 1, height, width) uint8 stack whose frame k has pixel
-    y * width + x set for every event of events[bounds[k]:bounds[k + 1]]; the
-    index temporaries are one window long."""
-    stack = np.zeros((len(bounds) - 1, *geometry.shape), dtype=np.uint8)
-    for k, frame in enumerate(stack.reshape(len(stack), geometry.height * geometry.width)):
-        window = events[bounds[k] : bounds[k + 1]]
-        index = window["y"].astype(np.intp)
-        index *= geometry.width
-        index += window["x"]
-        frame[index] = 1
+    ts = _check_timestamps(mask_timestamps)
+    stack = np.empty((len(ts), *geometry.shape), dtype=np.uint8)
+    for k, frame in enumerate(_frames([as_event_array(stream)], ts, geometry, polarity=True)):
+        stack[k] = frame
     return stack
+
+
+def _frames(chunks, ts: np.ndarray, geometry: SensorGeometry, polarity: bool = False):
+    """Yield the binary frame of each mask timestamp of ts (int64, increasing)
+    as soon as its window closes, in one reused buffer, valid until the next
+    frame is asked for, from the EVENT_DTYPE chunks of one stream, read to
+    their end. Each chunk gets the order check from the last t before it, and
+    the record check, naming an event by stream index: bounds for the events
+    in a window, polarity if asked."""
+    frame = np.zeros(geometry.height * geometry.width, dtype=np.uint8)
+    k = start = last = 0  # the open window; the stream index and the last t before a chunk
+    for events in chunks:
+        t = _check_order(events, start, last)
+        closed = k + int(np.searchsorted(ts[k:], t[-1])) if t.size else k  # close in this chunk
+        cuts = np.searchsorted(t, ts[k:closed + 1], side="right")
+        end = cuts[-1] if cuts.size else 0  # the events after it follow the last timestamp
+        _check_records(events[:end], geometry, lambda i: f"event {start + i}", polarity)
+        _check_records(events[end:], None, lambda i: f"event {start + end + i}", polarity)
+        for lo, hi in zip((0, *cuts), cuts):
+            _set_pixels(frame, events[lo:hi], geometry.width)
+            if k < closed:
+                yield frame.reshape(geometry.shape)
+                frame[:], k = 0, k + 1
+        start, last = start + t.size, int(t[-1]) if t.size else last
+    for k in range(k, len(ts)):  # the open window, then those after the last event
+        yield frame.reshape(geometry.shape)
+        frame[:] = 0
+
+
+def _set_pixels(frame: np.ndarray, events: np.ndarray, width: int) -> None:
+    """Set pixel y * width + x of the flat frame for every event."""
+    index = events["y"] * np.intp(width)
+    index += events["x"]
+    frame[index] = 1
 
 
 def accumulate_frame(window: EventsLike, geometry: SensorGeometry) -> np.ndarray:
@@ -237,4 +254,6 @@ def accumulate_frame(window: EventsLike, geometry: SensorGeometry) -> np.ndarray
     geometry = _as_geometry(geometry)
     ev = as_event_array(window)
     _check_records(ev, geometry, polarity=False)
-    return _paint(ev, (0, len(ev)), geometry)[0]
+    frame = np.zeros(geometry.shape, dtype=np.uint8)
+    _set_pixels(frame.reshape(-1), ev, geometry.width)
+    return frame

@@ -98,7 +98,12 @@ def evaluate_sequence(
     if len(set(lengths)) != 1:
         raise ValidationError("length mismatch: {} preds, {} gts, {} frames".format(*lengths))
     _json("with_frames", with_frames, bool, ParameterError)
-    active, inter, pred_area, gt_area = _counts(zip(preds, gts, dvs_frames))
+    return _report(_counts(zip(preds, gts, dvs_frames)), with_frames)
+
+
+def _report(counts: np.ndarray, with_frames: bool):
+    """evaluate_sequence's result from the sequence's _counts."""
+    active, inter, pred_area, gt_area = counts
     keep = gt_area > 0
     inter, pred_area, gt_area, active = (c[keep] for c in (inter, pred_area, gt_area, active))
     ious, _, detected = _rules(inter, pred_area, gt_area)

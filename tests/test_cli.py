@@ -285,6 +285,29 @@ class TestRun:
                                 text=True, timeout=120)
         assert result.returncode == 0, result.stderr[-2000:]
 
+    @pytest.mark.parametrize("alpha, warnings", [(0.96, 1), (0.13, 0)])
+    def test_alpha_that_cannot_fire_warns_once(self, dataset, tmp_path, caplog, alpha, warnings):
+        manifest_path, _ = dataset
+        with caplog.at_level(logging.WARNING, logger="oms"):
+            result = run_cli("run", "--manifest", manifest_path, "--out", tmp_path / "run",
+                             "--alpha", alpha)
+        assert result.exit_code == 0, result.output
+        spike = [r for r in caplog.records if "no pixel can spike" in r.getMessage()]
+        assert len(spike) == warnings and len(caplog.records) == warnings
+
+    def test_out_of_memory_exit_2(self, dataset, tmp_path, monkeypatch):
+        # The first frame cannot be allocated: no allocation is made for real.
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        manifest_path, n = dataset
+        monkeypatch.setattr(np, "zeros", no_memory)
+        result = run_cli("run", "--manifest", manifest_path, "--out", tmp_path / "run")
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"error: {n} frames of 64x48 pixels do not fit in memory: "
+                                 f"Unable to allocate an array with shape {64 * 48}\n")
+        assert not (tmp_path / "run" / "run.json").exists()
+
     @pytest.mark.parametrize("row, field", [("-5,1,1,1", "t"), ("5,70000,1,1", "x")])
     def test_csv_overflow_exit_2(self, tmp_path, row, field):
         (tmp_path / "events.csv").write_text(f"t,x,y,p\n{row}\n")
