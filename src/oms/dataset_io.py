@@ -61,13 +61,11 @@ def write_events(events, geometry: SensorGeometry, path) -> None:
     _write_file(path, header + ev.tobytes())
 
 
-def _write_file(path, *parts) -> None:
-    """Make the bytes-like parts the whole content of the file at path,
-    overwriting it in place."""
+def _write_file(path, data: bytes) -> None:
+    """Make data the whole content of the file at path, overwriting it in place."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     with open(fd, "wb") as f:
-        for part in parts:
-            f.write(part)
+        f.write(data)
         f.truncate()
 
 
@@ -168,15 +166,13 @@ def _parse_csv(text: str) -> np.ndarray:
 def write_mask(mask: np.ndarray, path) -> None:
     """Write a {0,1} mask as binary PGM with values 0/255."""
     mask = _array(ValidationError, "mask", mask, 2)
-    pixels = (mask > 0).view(np.uint8)
-    pixels *= 255
-    _write_pgm(pixels, path)
+    _write_pgm((mask > 0).view(np.uint8) * 255, path)
 
 
 def _write_pgm(pixels: np.ndarray, path) -> None:
     """Write a 2D uint8 array as binary PGM (P5, maxval 255)."""
     h, w = pixels.shape
-    _write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii"), np.ascontiguousarray(pixels))
+    _write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
 
 
 # Magic, width, height and maxval, separated by whitespace and by comments
@@ -293,11 +289,11 @@ def write_dataset(
     return manifest_path
 
 
-def _read_masks(manifest: DatasetManifest, manifest_path) -> list[np.ndarray]:
-    """The dataset's ground-truth masks, one per mask timestamp."""
+def _read_masks(manifest: DatasetManifest, manifest_path):
+    """The dataset's ground-truth masks, one per mask timestamp, read as asked for."""
     _, mask_dir = manifest.resolve(Path(manifest_path).parent)
-    return [read_mask(mask_dir / mask_filename(i), manifest.geometry)
-            for i in range(len(manifest.mask_timestamps))]
+    return (read_mask(mask_dir / mask_filename(i), manifest.geometry)
+            for i in range(len(manifest.mask_timestamps)))
 
 
 def load_dataset(manifest_path):
@@ -305,7 +301,7 @@ def load_dataset(manifest_path):
     manifest_path = Path(manifest_path)
     manifest = DatasetManifest.load(manifest_path)
     event_path, _ = manifest.resolve(manifest_path.parent)
-    return manifest, read_events(event_path), _read_masks(manifest, manifest_path)
+    return manifest, read_events(event_path), list(_read_masks(manifest, manifest_path))
 
 
 # --- external dataset importers ---------------------------------------------

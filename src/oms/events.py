@@ -187,10 +187,16 @@ def window_events(stream: EventsLike, mask_timestamps: Sequence[int]) -> list[np
     are dropped (no ground truth exists for them).
     """
     ev = as_event_array(stream)
-    t = _check_order(ev)
-    bounds = np.concatenate(([0], np.searchsorted(t, _check_timestamps(mask_timestamps), "right")))
+    ends = _window_ends(_check_order(ev), _check_timestamps(mask_timestamps))
+    bounds = np.concatenate(([0], ends))
     _check_records(ev)
     return [ev[bounds[k] : bounds[k + 1]] for k in range(len(bounds) - 1)]
+
+
+def _window_ends(t: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The window rule: window k takes the t in (ts[k - 1], ts[k]] of a sorted
+    int64 time column t, and ends before index _window_ends(t, ts)[k]."""
+    return np.searchsorted(t, ts, side="right")
 
 
 def bin_events(
@@ -218,12 +224,16 @@ def _frames(chunks, ts: np.ndarray, geometry: SensorGeometry, polarity: bool = F
     their end. Each chunk gets the order check from the last t before it, and
     the record check, naming an event by stream index: bounds for the events
     in a window, polarity if asked."""
-    frame = np.zeros(geometry.height * geometry.width, dtype=np.uint8)
+    try:
+        frame = np.zeros(geometry.height * geometry.width, dtype=np.uint8)
+    except MemoryError as exc:
+        raise MemoryError(f"one {geometry.width}x{geometry.height} frame (of {len(ts)}) cannot "
+                          f"be allocated: {exc}") from None
     k = start = last = 0  # the open window; the stream index and the last t before a chunk
     for events in chunks:
         t = _check_order(events, start, last)
         closed = k + int(np.searchsorted(ts[k:], t[-1])) if t.size else k  # close in this chunk
-        cuts = np.searchsorted(t, ts[k:closed + 1], side="right")
+        cuts = _window_ends(t, ts[k:closed + 1])
         end = cuts[-1] if cuts.size else 0  # the events after it follow the last timestamp
         _check_records(events[:end], geometry, lambda i: f"event {start + i}", polarity)
         _check_records(events[end:], None, lambda i: f"event {start + end + i}", polarity)
@@ -240,7 +250,8 @@ def _frames(chunks, ts: np.ndarray, geometry: SensorGeometry, polarity: bool = F
 
 def _set_pixels(frame: np.ndarray, events: np.ndarray, width: int) -> None:
     """Set pixel y * width + x of the flat frame for every event."""
-    index = events["y"] * np.intp(width)
+    index = events["y"].astype(np.intp)  # not u16: y * width may exceed 65535
+    index *= width
     index += events["x"]
     frame[index] = 1
 

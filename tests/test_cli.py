@@ -304,7 +304,7 @@ class TestRun:
         monkeypatch.setattr(np, "zeros", no_memory)
         result = run_cli("run", "--manifest", manifest_path, "--out", tmp_path / "run")
         assert result.exit_code == 2, result.output
-        assert result.output == (f"error: {n} frames of 64x48 pixels do not fit in memory: "
+        assert result.output == (f"error: one 64x48 frame (of {n}) cannot be allocated: "
                                  f"Unable to allocate an array with shape {64 * 48}\n")
         assert not (tmp_path / "run" / "run.json").exists()
 
@@ -430,6 +430,17 @@ class TestBench:
         assert set(doc) == {"frames", "p50_ms", "p95_ms", "throughput_fps_single", "timings_ms"}
         assert set(doc["timings_ms"]) == {"load", "bin"}
         assert all(v >= 0 for v in doc["timings_ms"].values())
+
+    def test_one_frame(self, tmp_path):
+        # Every frame's latency is counted, the first too.
+        events = np.array([(5, 3, 4, 1)], dtype=EVENT_DTYPE)
+        manifest_path = write_dataset(tmp_path / "one", events, SensorGeometry(64, 48),
+                                      [np.zeros((48, 64), np.uint8)], [10])
+        result = run_cli("bench", "--manifest", manifest_path)
+        assert result.exit_code == 0, result.output
+        doc = strict_json(result.output)
+        assert doc["frames"] == 1 and 0 < doc["p50_ms"] == doc["p95_ms"]
+        assert 0 < doc["throughput_fps_single"] <= 1e3 / doc["p50_ms"]
 
     def test_empty_dataset(self, tmp_path, rng):
         from oms.events import EVENT_DTYPE

@@ -196,6 +196,14 @@ class TestAccumulateFrame:
         with pytest.raises(ValidationError, match="event 0"):
             accumulate_frame(ev, self.GEOM)
 
+    def test_pixel_index_past_u16(self):
+        # y * width exceeds 65535 from row 190 of a 346x260 sensor.
+        geometry = SensorGeometry(346, 260)
+        ev = as_event_array([Event(0, 5, 189, 1), Event(1, 0, 190, 1), Event(2, 345, 259, -1)])
+        frame = accumulate_frame(ev, geometry)
+        assert frame.sum() == 3 and frame[189, 5] == frame[190, 0] == frame[259, 345] == 1
+        assert np.array_equal(bin_events(ev, [2], geometry), frame[None])
+
     def test_duplication_idempotent(self, rng):
         ev = make_events(np.sort(rng.integers(0, 100, 50)),
                          xs=rng.integers(0, 32, 50), ys=rng.integers(0, 32, 50))
