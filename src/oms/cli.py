@@ -25,11 +25,12 @@ from . import dataset_io
 from .dataset_io import (
     DatasetManifest,
     _event_chunks,
+    _path_prefix,
     _read_json,
     _read_masks,
+    _read_pgm,
     _write_file,
     _write_pgm,
-    read_mask,
     write_dataset,
     write_mask,
 )
@@ -128,15 +129,15 @@ def open_frames(manifest_path, lap):
             yield chunk
             lap("bin")
 
-    def frames():
+    def frames(binned):
         try:
-            for frame in _frames(reads(), ts, manifest.geometry):
+            for frame in binned:
                 lap("bin")
                 yield frame
         except ValidationError as exc:
             raise ParseError(f"{event_path}: {exc}") from exc
 
-    return manifest, frames()
+    return manifest, frames(_frames(reads(), ts, manifest.geometry))  # allocates the frame now
 
 
 def _laps(timings: dict):
@@ -243,11 +244,12 @@ def cmd_eval(pred_dir, manifest_path, out_path, verbose):
     timings = dict.fromkeys(("load", "bin", "read_masks", "evaluate"), 0.0)
     lap = _laps(timings)
     manifest, frames = open_frames(manifest_path, lap)
-    gts = _read_masks(manifest, manifest_path)
+    gts = _read_masks(manifest, manifest_path, _read_pgm)  # undecoded, as are the predictions
+    pred_dir = _path_prefix(pred_dir)
 
     def triples():
         for i, (frame, gt) in enumerate(zip(frames, gts)):
-            pred = read_mask(Path(pred_dir) / PRED_PATTERN.format(i), manifest.geometry)
+            pred = _read_pgm(pred_dir + PRED_PATTERN.format(i), manifest.geometry)
             lap("read_masks")
             yield pred, gt, frame
             lap("evaluate")

@@ -58,18 +58,19 @@ def write_events(events, geometry: SensorGeometry, path) -> None:
     _check_order(ev)
     _check_records(ev, geometry)
     header = MAGIC + struct.pack("<HH", geometry.width, geometry.height) + b"\x00" * 8
-    _write_file(path, header + ev.tobytes())
+    _write_file(path, header, np.ascontiguousarray(ev))  # no copy of the records
 
 
-def _write_file(path, data: bytes) -> None:
-    """Make data the whole content of the file at path, overwriting it in place."""
+def _write_file(path, *data) -> None:
+    """Make the buffers data, in turn, the whole content of the file at path, in place."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     with open(fd, "wb") as f:
-        f.write(data)
+        for part in data:
+            f.write(part)
         f.truncate()
 
 
-def _open(path: Path, what: str):
+def _open(path, what: str):
     """open(path, "rb"), raising any OSError but FileNotFoundError as a ParseError."""
     try:
         return open(path, "rb")
@@ -183,7 +184,12 @@ _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
 
 def read_mask(path, geometry: SensorGeometry | None = None) -> np.ndarray:
     """Read a binary PGM into a {0,1} uint8 mask (any nonzero byte -> 1)."""
-    path = Path(path)
+    return (_read_pgm(Path(path), geometry) > 0).astype(np.uint8)
+
+
+def _read_pgm(path, geometry: SensorGeometry | None = None) -> np.ndarray:
+    """read_mask's checked pixel bytes, undecoded: a read-only (h, w) uint8
+    view. Messages name path as given (read_mask gives a Path)."""
     with _open(path, "mask file") as f:
         data = f.read()
     if data[:2] != b"P5":
@@ -202,7 +208,7 @@ def read_mask(path, geometry: SensorGeometry | None = None) -> np.ndarray:
     if geometry is not None and (w, h) != (geometry.width, geometry.height):
         raise ParseError(f"{path}: mask is {w}x{h}, manifest geometry is "
                          f"{geometry.width}x{geometry.height}")
-    return (pixels > 0).astype(np.uint8)
+    return pixels
 
 
 # --- manifests and whole datasets -------------------------------------------
@@ -289,10 +295,16 @@ def write_dataset(
     return manifest_path
 
 
-def _read_masks(manifest: DatasetManifest, manifest_path):
-    """The dataset's ground-truth masks, one per mask timestamp, read as asked for."""
-    _, mask_dir = manifest.resolve(Path(manifest_path).parent)
-    return (read_mask(mask_dir / mask_filename(i), manifest.geometry)
+def _path_prefix(directory) -> str:
+    """The text before a file name in str(Path(directory) / name): the paths
+    of a directory's masks are built as strings, without a Path each."""
+    return str(Path(directory) / "_")[:-1]
+
+
+def _read_masks(manifest: DatasetManifest, manifest_path, read=read_mask):
+    """The dataset's ground-truth masks, one per mask timestamp, each read by read when asked."""
+    mask_dir = _path_prefix(manifest.resolve(Path(manifest_path).parent)[1])
+    return (read(mask_dir + mask_filename(i), manifest.geometry)
             for i in range(len(manifest.mask_timestamps)))
 
 

@@ -218,17 +218,22 @@ def bin_events(
 
 
 def _frames(chunks, ts: np.ndarray, geometry: SensorGeometry, polarity: bool = False):
-    """Yield the binary frame of each mask timestamp of ts (int64, increasing)
-    as soon as its window closes, in one reused buffer, valid until the next
-    frame is asked for, from the EVENT_DTYPE chunks of one stream, read to
-    their end. Each chunk gets the order check from the last t before it, and
-    the record check, naming an event by stream index: bounds for the events
-    in a window, polarity if asked."""
+    """The binary frame of each mask timestamp of ts (int64, increasing) as
+    soon as its window closes, in one buffer reused until the next frame and
+    allocated by this call, from the EVENT_DTYPE chunks of one stream, read
+    to their end. Each chunk gets the order check from the last t before it,
+    and the record check, naming an event by stream index: bounds for the
+    events in a window, polarity if asked."""
     try:
         frame = np.zeros(geometry.height * geometry.width, dtype=np.uint8)
     except MemoryError as exc:
         raise MemoryError(f"one {geometry.width}x{geometry.height} frame (of {len(ts)}) cannot "
                           f"be allocated: {exc}") from None
+    return _fill(frame, chunks, ts, geometry, polarity)
+
+
+def _fill(frame: np.ndarray, chunks, ts: np.ndarray, geometry: SensorGeometry, polarity: bool):
+    """_frames' generator, over its flat frame buffer."""
     k = start = last = 0  # the open window; the stream index and the last t before a chunk
     for events in chunks:
         t = _check_order(events, start, last)

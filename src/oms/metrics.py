@@ -103,9 +103,8 @@ def evaluate_sequence(
 
 def _report(counts: np.ndarray, with_frames: bool):
     """evaluate_sequence's result from the sequence's _counts."""
-    active, inter, pred_area, gt_area = counts
-    keep = gt_area > 0
-    inter, pred_area, gt_area, active = (c[keep] for c in (inter, pred_area, gt_area, active))
+    keep = counts[3] > 0  # a non-empty ground truth
+    active, inter, pred_area, gt_area = counts[:, keep]
     ious, _, detected = _rules(inter, pred_area, gt_area)
     n = len(ious)
     report = SequenceReport(
@@ -126,22 +125,26 @@ def _counts(frames) -> np.ndarray:
     """Per-frame (active, intersection, prediction, ground-truth) pixel counts,
     a (4, T) int64 array, of an iterable of T (pred, gt, dvs) frame triples:
     pred and gt are ANDed with the DVS frame dvs, and dvs None means every
-    pixel is active. All inputs are 2-D and of one shape across the frames."""
-    counts, shape = [], None
+    pixel is active. All inputs are 2-D and of one shape across the frames.
+    Any nonzero value is 1, so masks need no decoding; ANDs reuse two buffers."""
+    counts = []
     for k, (pred, gt, dvs) in enumerate(frames):
-        pred, gt = (_array(ValidationError, f"frame {k}", a).astype(bool) for a in (pred, gt))
-        dvs = (np.ones_like(pred) if dvs is None
-               else _array(ValidationError, f"frame {k}", dvs).astype(bool))
-        shape = shape or pred.shape
+        pred, gt = (_array(ValidationError, f"frame {k}", a) for a in (pred, gt))
+        dvs = (np.ones(pred.shape, bool) if dvs is None
+               else _array(ValidationError, f"frame {k}", dvs))
+        # logical_and reads a nonzero number as true (NaN too); other kinds are cast to bool
+        pred, gt, dvs = (a if a.dtype.kind in "biuf" else a.astype(bool) for a in (pred, gt, dvs))
+        if k == 0:  # every frame's shape, and the two buffers the ANDs write
+            shape, (pred_in, gt_in) = pred.shape, np.empty((2, *pred.shape), bool)
         if len(shape) != 2 or not pred.shape == gt.shape == dvs.shape == shape:
             raise ValidationError(
                 f"shape mismatch at frame {k}: prediction {pred.shape}, ground truth "
                 f"{gt.shape}, DVS frame {dvs.shape}; each must be 2-D and {shape}")
-        gt &= dvs
-        pred &= dvs
-        pred_area, gt_area = np.count_nonzero(pred), np.count_nonzero(gt)
-        pred &= gt
-        counts.append((np.count_nonzero(dvs), np.count_nonzero(pred), pred_area, gt_area))
+        np.logical_and(pred, dvs, out=pred_in)
+        np.logical_and(gt, dvs, out=gt_in)
+        pred_area, gt_area = np.count_nonzero(pred_in), np.count_nonzero(gt_in)
+        np.logical_and(pred_in, gt_in, out=pred_in)
+        counts.append((np.count_nonzero(dvs), np.count_nonzero(pred_in), pred_area, gt_area))
     return np.array(counts, dtype=np.int64).reshape(-1, 4).T
 
 

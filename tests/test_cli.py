@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from oms.cli import main
 from oms.dataset_io import (
-    DatasetManifest, ParseError, import_evimo, mask_filename, read_events, read_mask,
+    DatasetManifest, ParseError, _write_pgm, import_evimo, mask_filename, read_events, read_mask,
     write_dataset,
 )
 from oms.events import accumulate_frame, window_events
@@ -308,6 +309,23 @@ class TestRun:
                                  f"Unable to allocate an array with shape {64 * 48}\n")
         assert not (tmp_path / "run" / "run.json").exists()
 
+    def test_out_of_memory_leaves_earlier_run(self, dataset, tmp_path, monkeypatch):
+        # The frame is allocated before --out is touched: a complete earlier
+        # run keeps its run.json and its masks, byte for byte.
+        manifest_path, n = dataset
+        out = tmp_path / "run"
+        assert run_cli("run", "--manifest", manifest_path, "--out", out).exit_code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == n + 1 and "run.json" in before
+
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(np, "zeros", no_memory)
+        result = run_cli("run", "--manifest", manifest_path, "--out", out, "--alpha", 0.13)
+        assert result.exit_code == 2, result.output
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("row, field", [("-5,1,1,1", "t"), ("5,70000,1,1", "x")])
     def test_csv_overflow_exit_2(self, tmp_path, row, field):
         (tmp_path / "events.csv").write_text(f"t,x,y,p\n{row}\n")
@@ -344,6 +362,56 @@ class TestEval:
         result = run_cli("eval", "--pred-dir", pred_dir, "--manifest", manifest_path)
         report = json.loads(result.output)
         assert report["mean_iou"] == 0.0 and report["detection_rate"] == 0.0
+
+    @pytest.mark.parametrize("verbose", [False, True], ids=["report", "verbose"])
+    def test_gray_levels_read_as_one(self, dataset, tmp_path, verbose):
+        # Any nonzero byte is 1: ground truth and predictions whose set pixels
+        # hold gray levels 1, 7, 128 and 255 give the report of 0/255 copies.
+        manifest_path, n = dataset
+        run = tmp_path / "run"
+        result = run_cli("run", "--manifest", manifest_path, "--out", run, "--alpha", 0.13)
+        assert result.exit_code == 0, result.output
+        rng = np.random.default_rng(9)
+        outputs = []
+        for name, levels in (("binary", [255]), ("gray", [1, 7, 128, 255])):
+            manifest = dataset_copy(manifest_path, tmp_path / name)
+            preds = tmp_path / f"{name}_preds"
+            preds.mkdir()
+            for i in range(n):
+                for src, dst in ((manifest_path.parent / "masks" / mask_filename(i),
+                                  manifest.parent / "masks" / mask_filename(i)),
+                                 (run / f"oms_{i:05d}.pgm", preds / f"oms_{i:05d}.pgm")):
+                    mask = read_mask(src)
+                    _write_pgm(np.where(mask, rng.choice(levels, mask.shape), 0).astype(np.uint8),
+                               dst)
+            args = ["--verbose"] if verbose else []
+            result = run_cli("eval", "--pred-dir", preds, "--manifest", manifest, *args)
+            assert result.exit_code == 0, result.output
+            outputs.append(result.stdout_bytes)
+        report = json.loads(outputs[0])
+        assert report["frames_evaluated"] > 0 and 0 < report["mean_iou"] < 100
+        assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("pred_dir", ["./preds/", "preds/", "preds"])
+    @pytest.mark.parametrize("fault", ["missing prediction", "prediction is a directory",
+                                       "ground truth is a directory"])
+    def test_bad_mask_message_on_relative_paths(self, dataset, predictions, tmp_path,
+                                                monkeypatch, pred_dir, fault):
+        # Messages name a mask as Path(directory) / name prints it.
+        dataset_copy(dataset[0], tmp_path / "ds")
+        shutil.copytree(predictions, tmp_path / "preds")
+        monkeypatch.chdir(tmp_path)
+        bad = Path("ds/masks/mask_00003.pgm" if "ground" in fault else "preds/oms_00003.pgm")
+        bad.unlink()
+        if "directory" in fault:
+            bad.mkdir()
+        result = run_cli("eval", "--pred-dir", pred_dir, "--manifest", "./ds//manifest.json")
+        assert result.exit_code == 2, result.output
+        if fault == "missing prediction":
+            assert result.output == f"error: [Errno 2] No such file or directory: '{bad}'\n"
+        else:
+            assert result.output == (f"error: {bad}: cannot read mask file: "
+                                     f"{os.strerror(errno.EISDIR)}\n")
 
     def test_verbose_frames(self, dataset, tmp_path):
         manifest_path, n = dataset

@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from oms import EVENT_DTYPE, Event, OmsError, SensorGeometry, ValidationError, as_event_array
 from oms.dataset_io import (
+    MAGIC,
     DatasetManifest,
     ParseError,
     _write_file,
@@ -263,6 +265,28 @@ class TestMaskFiles:
         with pytest.raises(ParseError, match="truncated PGM header"):
             read_mask(path)
         assert time.perf_counter() - start < 1.0
+
+
+class TestWriteEvents:
+    """write_events writes the header and then the records' own buffer."""
+
+    @given(st.integers(0, 3000), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_are_header_and_records(self, tmp_path_factory, n, step, seed):
+        ev = random_events(np.random.default_rng(seed), n)[::step]  # strided when step > 1
+        path = tmp_path_factory.mktemp("events") / "events.evt"
+        write_events(ev, GEOM, path)
+        assert path.read_bytes() == MAGIC + struct.pack("<HH", 64, 48) + bytes(8) + ev.tobytes()
+
+    def test_peak_memory_below_the_records(self, tmp_path, rng):
+        ev = random_events(rng, 100_000)
+        tracemalloc.start()
+        try:
+            write_events(ev, GEOM, tmp_path / "events.evt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ev.nbytes, (peak, ev.nbytes)
 
 
 class TestWriteFile:

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from oms import (
     iou,
     score_frame,
 )
+from oms.metrics import _counts
 
 binary_masks = hnp.arrays(np.uint8, (12, 12), elements=st.integers(0, 1))
 
@@ -295,3 +297,57 @@ class TestScanOracle:
                         metric(pred, gt)
             inside, _, _, _, outside = _scan(frame, gt)
             assert bf_ratio(frame, gt) == (outside / inside if inside else math.inf)
+
+
+# The masks of a binary frame in encodings where a value counts as 1 when
+# Python reads it as true: gray levels, NaN, objects and nested lists.
+ENCODINGS = {
+    "uint8_0_255": lambda m, rng: m * np.uint8(255),
+    "bool": lambda m, rng: m.astype(bool),
+    "float_nan": lambda m, rng: np.where(m, rng.choice([np.nan, 0.5, -2.0], m.shape),
+                                         rng.choice([0.0, -0.0], m.shape)),
+    "object": lambda m, rng: np.where(m, rng.choice(np.array([1, "x", 2.5, True], object), m.shape),
+                                      rng.choice(np.array([None, 0, "", False], object), m.shape)),
+    "nested_list": lambda m, rng: (m * rng.choice([1, 7, 128], m.shape)).tolist(),
+}
+
+
+def assert_unchanged(inputs, copies):
+    for a, b in zip(inputs, copies):
+        if isinstance(b, list):
+            assert a == b
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=b.dtype.kind == "f")
+
+
+class TestEncodings:
+    """_counts and evaluate_sequence read any nonzero value as 1 and write no input."""
+
+    @given(binary_sequences(), st.sampled_from(sorted(ENCODINGS)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_scan(self, seq, encoding, seed):
+        rng = np.random.default_rng(seed)
+        encoded = tuple([ENCODINGS[encoding](f, rng) for f in frames] for frames in seq)
+        copies = copy.deepcopy(encoded)
+        expected = []
+        for pred, gt, dvs in zip(*encoded):
+            pred, gt, dvs = (np.asarray(a) for a in (pred, gt, dvs))
+            inter, pred_area, gt_area, _, _ = _scan(pred, gt, within=dvs)
+            expected.append([sum(map(bool, dvs.ravel().tolist())), inter, pred_area, gt_area])
+        assert _counts(zip(*encoded)).T.tolist() == expected
+        assert (evaluate_sequence(*encoded, with_frames=True)
+                == evaluate_sequence(*seq, with_frames=True))
+        for inputs, before in zip(encoded, copies):
+            assert_unchanged(inputs, before)
+
+    @pytest.mark.parametrize("pred", [
+        np.array([[None, 1]], object), np.array([[0j, 1j]]), np.array([[0.0, np.nan]]),
+        [[0, 255]], np.array([[False, True]]),
+    ], ids=["object", "complex", "nan", "nested_list", "bool"])
+    def test_one_frame_metrics(self, pred):
+        before = copy.deepcopy(pred)
+        assert iou(pred, [[1, 1]]) == 0.5
+        assert vars(score_frame(pred, [[1, 1]])) == {
+            "iou": 0.5, "detected": True, "gt_area": 2, "inter_area": 1, "outside_inter_area": 0}
+        assert bf_ratio(pred, [[1, 0]]) == math.inf and bf_ratio(pred, [[0, 1]]) == 0.0
+        assert_unchanged([pred], [before])
