@@ -118,7 +118,9 @@ def open_frames(manifest_path, lap):
     manifest = DatasetManifest.load(manifest_path)
     event_path, _ = manifest.resolve(Path(manifest_path).parent)
     chunks = _event_chunks(event_path, dataset_io._CHUNK)
-    next(chunks)  # opens the file and checks its header now, before `oms run` touches --out
+    header = next(chunks)  # opens the file, checks its header now, before `oms run` touches --out
+    # A header inside the manifest's geometry: the reader's record check bounds every event.
+    bounds = header is None or not all(map(int.__le__, header, manifest.geometry))
     lap("load")
     ts = np.array(manifest.mask_timestamps, dtype=np.int64)  # checked by the manifest
 
@@ -137,7 +139,8 @@ def open_frames(manifest_path, lap):
         except ValidationError as exc:
             raise ParseError(f"{event_path}: {exc}") from exc
 
-    return manifest, frames(_frames(reads(), ts, manifest.geometry))  # allocates the frame now
+    binned = _frames(reads(), ts, manifest.geometry, bounds=bounds)  # allocates the frame now
+    return manifest, frames(binned)
 
 
 def _laps(timings: dict):
@@ -182,7 +185,9 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
     manifest, frames = open_frames(manifest_path, lap)
     n = len(manifest.mask_timestamps)
     if overlays:
-        gts = list(_read_masks(manifest, manifest_path))
+        for _ in _read_masks(manifest, manifest_path, _read_pgm):  # each checked now, none kept
+            pass
+        gts = _read_masks(manifest, manifest_path)  # read again, decoded, as each frame is scored
         lap("load")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,7 +207,7 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
         preds.append(oms_frame(frame, params, center, surround))
         lap("score")
         if overlays:
-            _write_overlay(out / OVERLAY_PATTERN.format(i), frame, gts[i], preds[-1])
+            _write_overlay(out / OVERLAY_PATTERN.format(i), frame, next(gts), preds[-1])
         if len(preds) == _WRITE_GROUP or i == n - 1:
             for j, pred in enumerate(preds, i + 1 - len(preds)):
                 write_mask(pred, out / PRED_PATTERN.format(j))

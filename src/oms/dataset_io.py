@@ -80,7 +80,7 @@ def _open(path, what: str):
         raise ParseError(f"{path}: cannot read {what}: {exc.strerror}") from exc
 
 
-_CHUNK = 65536  # records per read of a streamed event file: 852 KB
+_CHUNK = 16384  # records per read of a streamed event file: a 213 KB buffer
 
 
 def read_events(path) -> np.ndarray:
@@ -92,10 +92,10 @@ def read_events(path) -> np.ndarray:
 
 def _event_chunks(path: Path, size: int):
     """The records of an event file as EVENT_DTYPE chunks of at most size
-    records, after a first None once the header or CSV text is checked. Each
-    native chunk is read into one reused buffer, valid until the next read,
-    and checked by the record check with the header's geometry. A
-    ValidationError is raised as a ParseError naming the file."""
+    records, after the header's geometry (None for CSV text) once the header
+    or text is checked. Each native chunk is read into one reused buffer,
+    valid until the next read, and checked by the record check with that
+    geometry. A ValidationError is raised as a ParseError naming the file."""
     try:
         with _open(path, "event file") as f:
             head = f.read(HEADER_SIZE)
@@ -105,7 +105,7 @@ def _event_chunks(path: Path, size: int):
                 at = lambda i: f"byte offset {HEADER_SIZE + i * RECORD_SIZE}"
                 if tail:
                     raise ValidationError(f"truncated record at {at(n)}")
-                yield
+                yield geometry
                 buf = np.empty(min(size, n), dtype=EVENT_DTYPE)
                 for start in range(0, n, size):
                     chunk = buf[: n - start]

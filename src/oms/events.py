@@ -132,20 +132,20 @@ def _from_columns(t, x, y, p) -> np.ndarray:
 
 
 def _check_order(events: np.ndarray, start: int = 0, last: int = 0) -> np.ndarray:
-    """The timestamps of events as int64, after checking they never decrease
-    from last on and fit int64; errors name an event by its index in a
-    stream whose event start is events[0]."""
-    # Compared as stored (u64), so a t >= 2**63 cannot wrap negative.
-    t = np.concatenate((np.array([last], np.uint64), events["t"]))
-    unsorted = t[1:] < t[:-1]  # event i against the one before it, last for event 0
-    if unsorted.any():
-        i = start + int(unsorted.argmax())
+    """The timestamps of events as an int64 view of their field, after checking
+    they never decrease from last on and fit int64; errors name an event by
+    its index in a stream whose event start is events[0]."""
+    # Compared in place as stored (u64), so a t >= 2**63 cannot wrap negative.
+    t = events["t"]
+    first = t.size and int(t[0]) < last  # event 0 against the last t before it
+    unsorted = t[1:] < t[:-1]  # event i + 1 against event i
+    if first or unsorted.any():
+        i = start if first else start + 1 + int(unsorted.argmax())
         raise ValidationError(f"event stream unsorted: t decreases at index {i}")
-    t = t[1:]
     if t.size and int(t[-1]) > _T_MAX:
         i = int(np.searchsorted(t, np.uint64(_T_MAX), side="right"))
         raise ValidationError(f"timestamp {int(t[i])} at event index {start + i} exceeds {_T_MAX}")
-    return t.view(np.int64)  # every t is at most _T_MAX, so no value changes
+    return t.view("<i8")  # every t is at most _T_MAX, so no value changes; a view, not a copy
 
 
 def _check_records(events: np.ndarray, geometry: SensorGeometry | None = None,
@@ -217,30 +217,32 @@ def bin_events(
     return stack
 
 
-def _frames(chunks, ts: np.ndarray, geometry: SensorGeometry, polarity: bool = False):
+def _frames(chunks, ts: np.ndarray, geometry: SensorGeometry, polarity: bool = False,
+            bounds: bool = True):
     """The binary frame of each mask timestamp of ts (int64, increasing) as
     soon as its window closes, in one buffer reused until the next frame and
     allocated by this call, from the EVENT_DTYPE chunks of one stream, read
     to their end. Each chunk gets the order check from the last t before it,
     and the record check, naming an event by stream index: bounds for the
-    events in a window, polarity if asked."""
+    events in a window, and polarity, if asked."""
     try:
         frame = np.zeros(geometry.height * geometry.width, dtype=np.uint8)
     except MemoryError as exc:
         raise MemoryError(f"one {geometry.width}x{geometry.height} frame (of {len(ts)}) cannot "
                           f"be allocated: {exc}") from None
-    return _fill(frame, chunks, ts, geometry, polarity)
+    return _fill(frame, chunks, ts, geometry, polarity, geometry if bounds else None)
 
 
-def _fill(frame: np.ndarray, chunks, ts: np.ndarray, geometry: SensorGeometry, polarity: bool):
-    """_frames' generator, over its flat frame buffer."""
+def _fill(frame: np.ndarray, chunks, ts: np.ndarray, geometry: SensorGeometry, polarity: bool,
+          bounds: SensorGeometry | None):
+    """_frames' generator, over its flat frame buffer; bounds checks window events if set."""
     k = start = last = 0  # the open window; the stream index and the last t before a chunk
     for events in chunks:
         t = _check_order(events, start, last)
         closed = k + int(np.searchsorted(ts[k:], t[-1])) if t.size else k  # close in this chunk
         cuts = _window_ends(t, ts[k:closed + 1])
         end = cuts[-1] if cuts.size else 0  # the events after it follow the last timestamp
-        _check_records(events[:end], geometry, lambda i: f"event {start + i}", polarity)
+        _check_records(events[:end], bounds, lambda i: f"event {start + i}", polarity)
         _check_records(events[end:], None, lambda i: f"event {start + end + i}", polarity)
         for lo, hi in zip((0, *cuts), cuts):
             _set_pixels(frame, events[lo:hi], geometry.width)

@@ -1,10 +1,12 @@
 """`oms run` and `oms eval` read an event file in chunks and bin it one
-window at a time. These tests shrink the chunk to 2 or 3 records, so that
-windows, runs of equal t and bad records fall across chunk boundaries, and
-compare with the scan oracle and with the messages of the in-memory path."""
+window at a time. Most of these tests shrink the chunk to 2 or 3 records,
+so that windows, runs of equal t and bad records fall across chunk
+boundaries, and compare with the scan oracle and with the messages of the
+in-memory path; the memory tests trace what a run holds at full size."""
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,22 +64,30 @@ class TestChunkBoundaries:
         bounds=st.lists(st.integers(-2, 14), max_size=8, unique=True),
         size=st.sampled_from([2, 3]),
         csv=st.booleans(),
+        header=st.sampled_from([GEOM, SensorGeometry(5, 4)]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(ts=[1, 1, 1, 1, 1, 1, 1], bounds=[0, 1, 2], size=2, csv=False, seed=0)
-    @example(ts=[1, 2, 3, 3, 3, 4], bounds=[3], size=3, csv=False, seed=0)  # boundary after a tie
-    @example(ts=[], bounds=[5, 9], size=2, csv=False, seed=0)             # an empty event file
-    @example(ts=[], bounds=[5, 9], size=2, csv=True, seed=0)
+    @example(ts=[1, 1, 1, 1, 1, 1, 1], bounds=[0, 1, 2], size=2, csv=False, header=GEOM, seed=0)
+    @example(ts=[1, 2, 3, 3, 3, 4], bounds=[3], size=3, csv=False, header=GEOM,  # after a tie
+             seed=0)
+    @example(ts=[0, 5, 5, 5, 5, 9], bounds=[4, 5], size=2, csv=False, header=GEOM,  # ties
+             seed=0)
+    @example(ts=[], bounds=[5, 9], size=2, csv=False, header=GEOM, seed=0)  # an empty event file
+    @example(ts=[], bounds=[5, 9], size=2, csv=True, header=GEOM, seed=0)
+    @example(ts=[0, 1, 2, 3, 4, 5], bounds=[2, 4], size=2, csv=False, header=SensorGeometry(5, 4),
+             seed=0)
     @settings(max_examples=60, deadline=None)
-    def test_matches_scan_oracle(self, ts, bounds, size, csv, seed):
+    def test_matches_scan_oracle(self, ts, bounds, size, csv, header, seed):
+        # Ties of t may fall across a chunk boundary. A header smaller than the
+        # manifest's geometry bounds every event, so the windows check none.
         rng = np.random.default_rng(seed)
         n = len(ts)
-        ev = make_events(sorted(ts), xs=rng.integers(0, 7, n), ys=rng.integers(0, 5, n),
-                         ps=rng.choice([-1, 1], n))
+        ev = make_events(sorted(ts), xs=rng.integers(0, header.width, n),
+                         ys=rng.integers(0, header.height, n), ps=rng.choice([-1, 1], n))
         bounds = sorted(bounds)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(dataset_io, "_CHUNK", size)
-            stack = streamed(write_stream(Path(tmp), ev, bounds, csv=csv))
+            stack = streamed(write_stream(Path(tmp), ev, bounds, header=header, csv=csv))
         assert stack.shape == (len(bounds), 5, 7)
         assert np.array_equal(stack, scanned_stack(ev, bounds, GEOM))
         assert np.array_equal(stack, bin_events(ev, bounds, GEOM))
@@ -133,6 +143,26 @@ class TestChunkBoundaries:
         assert np.array_equal(streamed(path), scanned_stack(ev, [3, 6], SensorGeometry(5, 5)))
 
 
+def test_held_memory_is_one_chunk_and_the_frame(tmp_path):
+    # While a frame is handed on, the event path holds one chunk buffer: no
+    # copy of its t column, whatever the number of chunks in the file.
+    geometry, rng = SensorGeometry(346, 260), np.random.default_rng(3)
+    n = 4 * dataset_io._CHUNK + 5
+    ev = make_events(np.sort(rng.integers(0, 10**6, n)), xs=rng.integers(0, 346, n),
+                     ys=rng.integers(0, 260, n), ps=rng.choice([-1, 1], n))
+    path = write_stream(tmp_path, ev, range(0, 10**6, 50_000), geometry=geometry, header=geometry)
+    held = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in open_frames(path, lambda stage: None)[1]:
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    budget = dataset_io._CHUNK * 13 + 346 * 260 + 48 * 1024
+    assert len(held) == 20 and max(held) < budget, (max(held), budget)
+
+
 @pytest.fixture(scope="module")
 def scene(tmp_path_factory):
     """A 48x32, 20-frame synthetic dataset: (manifest path, events, timestamps)."""
@@ -160,6 +190,29 @@ class TestStreamedRun:
         reports = [run_cli("eval", "--pred-dir", tmp_path / d, "--manifest", manifest).output
                    for d in ("a", "b")]
         assert reports[0] == reports[1] and json.loads(reports[0])["frames_evaluated"] > 0
+
+    def test_overlays_hold_no_ground_truth(self, tmp_path):
+        # `oms run --emit-overlays` checks every mask before it touches --out,
+        # keeps none, and reads each again when its frame is scored: its peak
+        # memory does not grow with the number of frames.
+        geometry, rng = SensorGeometry(160, 120), np.random.default_rng(4)
+        peaks = []
+        for run, frames in enumerate((10, 10, 80)):  # the first run warms the caches
+            n, ts = 4000, range(1000, 1000 * frames + 1, 1000)  # n fixed: one buffer size
+            ev = make_events(np.sort(rng.integers(0, ts[-1], n)), xs=rng.integers(0, 160, n),
+                             ys=rng.integers(0, 120, n), ps=rng.choice([-1, 1], n))
+            masks = rng.integers(0, 2, (frames, 120, 160), np.uint8)
+            manifest = write_dataset(tmp_path / f"ds{run}", ev, geometry, masks, ts)
+            tracemalloc.start()
+            try:
+                result = run_cli("run", "--manifest", manifest, "--out", tmp_path / f"out{run}",
+                                 "--alpha", 0.13, "--emit-overlays")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
+            assert len(list((tmp_path / f"out{run}").glob("overlay_*.pgm"))) == frames
+        assert peaks[2] < peaks[1] + 64 * 1024, peaks
 
     @pytest.mark.parametrize("at", ["mid-stream", "after the last timestamp"])
     def test_bad_record_exits_2_without_run_json(self, scene, tmp_path, monkeypatch, at):
