@@ -1,5 +1,5 @@
-"""Command-line front end: run the pipeline, evaluate, synthesize data,
-benchmark, and dump kernels.
+"""Command-line front end: run the pipeline, evaluate, synthesize data and
+dump kernels.
 
 Exit codes: 0 success, 1 internal error, 2 usage or input error, including
 any file or directory that cannot be read, parsed or written. The OMS_LOG
@@ -34,7 +34,7 @@ from .dataset_io import (
     write_dataset,
     write_mask,
 )
-from .engine import OmsParams, _kernels_for, _sequence_kernels, oms_frame
+from .engine import OmsParams, _sequence_kernels, oms_frame
 from .errors import OmsError, ParseError, ValidationError, _json
 from .events import _frames
 from .kernels import kernel_to_text, make_feathered_kernel
@@ -145,15 +145,18 @@ def open_frames(manifest_path, lap):
 
 def _laps(timings: dict):
     """A function lap(stage) that adds the wall time since its last call (or
-    since this one) to timings[stage], in milliseconds; stage None drops it."""
+    since this one) to timings[stage], in milliseconds, and returns it; stage
+    None drops it."""
     last = time.perf_counter()
 
     def lap(stage):
         nonlocal last
         now = time.perf_counter()
+        ms = (now - last) * 1e3
         if stage is not None:
-            timings[stage] = timings.get(stage, 0.0) + (now - last) * 1e3
+            timings[stage] = timings.get(stage, 0.0) + ms
         last = now
+        return ms
 
     return lap
 
@@ -192,20 +195,22 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / RUN_MANIFEST_NAME).unlink(missing_ok=True)  # written last: marks a complete run
-    # So that --out holds one run, an earlier run's masks and overlays that
-    # this run does not rewrite are removed; the rest are overwritten in place.
-    patterns = (PRED_PATTERN, OVERLAY_PATTERN) if overlays else (PRED_PATTERN,)
-    written = {pattern.format(i) for pattern in patterns for i in range(n)}
+    # So that --out holds one run, the masks (and overlays) of an earlier run that are not
+    # PRED_PATTERN (OVERLAY_PATTERN, with overlays).format(i) for an i < n are removed.
     for path in out.iterdir():
-        if re.fullmatch(r"(oms|overlay)_\d{5,}\.pgm", path.name) and path.name not in written:
+        if (match := re.fullmatch(r"(oms|overlay)_(\d{5,})\.pgm", path.name)) and not (
+                (overlays or match[1] == "oms") and match[2] == f"{int(match[2]):05d}"
+                and int(match[2]) < n):
             path.unlink()
     lap(None)
     preds = []  # written _WRITE_GROUP at a time, so that the scorer's buffers stay in cache
+    diagnostics = []
     for i, frame in enumerate(frames):
         if i == 0:  # once the first window is binned, as a sequence's kernels
             center, surround = _sequence_kernels(frame.shape, params)
+            lap("score")  # the kernel build counts in timings_ms, not in score_ms[0]
         preds.append(oms_frame(frame, params, center, surround))
-        lap("score")
+        diagnostics.append({"score_ms": round(lap("score"), 3)})
         if overlays:
             _write_overlay(out / OVERLAY_PATTERN.format(i), frame, next(gts), preds[-1])
         if len(preds) == _WRITE_GROUP or i == n - 1:
@@ -225,6 +230,7 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
         "emit_overlays": overlays,
         "timings_ms": {stage: round(timings[stage], 3)
                        for stage in ("load", "bin", "score", "write")},
+        "diagnostics": diagnostics,
     }
     _write_file(out / RUN_MANIFEST_NAME, (json.dumps(run_doc, indent=2) + "\n").encode())
     log.info("processed %d frames in %.3fs", n, timings["score"] / 1e3)
@@ -281,37 +287,6 @@ def cmd_synth(scene_config, out_dir):
     events, masks, timestamps = generate_scene(config)
     manifest_path = write_dataset(out_dir, events, config.geometry, masks, timestamps)
     click.echo(f"wrote {len(masks)} frames, {len(events)} events; manifest at {manifest_path}")
-
-
-@main.command("bench")
-@click.option("--manifest", "manifest_path", required=True, help="Dataset manifest JSON.")
-@param_options
-@handle_errors
-def cmd_bench(manifest_path, **flags):
-    """Measure per-frame latency percentiles and throughput."""
-    params = resolve_params({}, **flags)
-    timings: dict[str, float] = {}
-    frames = [frame.copy() for frame in open_frames(manifest_path, _laps(timings))[1]]
-    if not frames:
-        click.echo("no frames in dataset; nothing to benchmark")
-        return
-    kernels = _kernels_for(frames[0].shape, params)
-
-    oms_frame(frames[0], params, *kernels)  # warm-up
-    lat_ms = []
-    t_single = time.perf_counter()
-    for frame in frames:
-        t0 = time.perf_counter()
-        oms_frame(frame, params, *kernels)
-        lat_ms.append((time.perf_counter() - t0) * 1e3)
-    t_single = time.perf_counter() - t_single
-    click.echo(json.dumps({
-        "frames": len(frames),
-        "p50_ms": float(np.percentile(lat_ms, 50)),
-        "p95_ms": float(np.percentile(lat_ms, 95)),
-        "throughput_fps_single": len(frames) / t_single,
-        "timings_ms": {stage: round(timings[stage], 3) for stage in ("load", "bin")},
-    }, indent=2))
 
 
 @main.command("kernel-dump")

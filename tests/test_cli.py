@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,13 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oms import cli
 from oms.cli import main
 from oms.dataset_io import (
     DatasetManifest, ParseError, _write_pgm, import_evimo, mask_filename, read_events, read_mask,
     write_dataset,
 )
+from oms.engine import _sequence_kernels, oms_frame
 from oms.events import accumulate_frame, window_events
 from oms.synthetic import SceneConfig, SceneObject, generate_scene
 from oms.events import EVENT_DTYPE, SensorGeometry
@@ -132,6 +135,69 @@ class TestRun:
         assert set(timings) == {"load", "bin", "score", "write"}
         assert all(isinstance(v, float) and v >= 0 for v in timings.values())
 
+    def test_score_ms_is_the_frame_call(self, dataset, tmp_path, monkeypatch):
+        # diagnostics[i].score_ms times frame i's oms_frame call, and no other.
+        calls = []
+
+        def slow_third(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                time.sleep(0.02)
+            return oms_frame(*args)
+
+        manifest_path, n = dataset
+        monkeypatch.setattr(cli, "oms_frame", slow_third)
+        out = tmp_path / "run"
+        result = run_cli("run", "--manifest", manifest_path, "--out", out, "--alpha", 0.13)
+        assert result.exit_code == 0, result.output
+        score_ms = [d["score_ms"] for d in json.loads((out / "run.json").read_text())["diagnostics"]]
+        assert len(score_ms) == n and score_ms[2] >= 20
+        assert all(ms < 20 for i, ms in enumerate(score_ms) if i != 2), score_ms
+
+    def test_kernel_build_not_in_score_ms(self, dataset, tmp_path, monkeypatch):
+        # The kernels are built once, before frame 0's call: their time counts
+        # in timings_ms.score but not in score_ms[0].
+        def slow_kernels(*args):
+            time.sleep(0.03)
+            return _sequence_kernels(*args)
+
+        manifest_path, _ = dataset
+        monkeypatch.setattr(cli, "_sequence_kernels", slow_kernels)
+        out = tmp_path / "run"
+        result = run_cli("run", "--manifest", manifest_path, "--out", out)
+        assert result.exit_code == 0, result.output
+        doc = json.loads((out / "run.json").read_text())
+        assert doc["timings_ms"]["score"] >= 30 and doc["diagnostics"][0]["score_ms"] < 30
+
+    @pytest.mark.parametrize("frames", [0, 1])
+    def test_one_diagnostic_per_frame(self, tmp_path, frames):
+        # A one-frame dataset has one entry, its first frame counted too; an
+        # empty one runs to an empty list.
+        events = np.array([(5, 3, 4, 1)], dtype=EVENT_DTYPE)[:frames]
+        manifest_path = write_dataset(tmp_path / "ds", events, SensorGeometry(64, 48),
+                                      [np.zeros((48, 64), np.uint8)] * frames, [10] * frames)
+        out = tmp_path / "run"
+        result = run_cli("run", "--manifest", manifest_path, "--out", out)
+        assert result.exit_code == 0, result.output
+        doc = strict_json((out / "run.json").read_text())
+        assert doc["frames"] == frames and len(doc["diagnostics"]) == frames
+        assert all(d["score_ms"] > 0 for d in doc["diagnostics"])
+
+    def test_score_ms_sums_to_at_most_the_score_stage(self, dataset, tmp_path):
+        # Each entry is rounded to 3 decimals, up by at most half a
+        # microsecond; the kernel build, in the stage but in no entry, covers
+        # the stage's own rounding.
+        manifest_path, n = dataset
+        out = tmp_path / "run"
+        result = run_cli("run", "--manifest", manifest_path, "--out", out, "--emit-overlays")
+        assert result.exit_code == 0, result.output
+        doc = strict_json((out / "run.json").read_text())
+        assert [set(d) for d in doc["diagnostics"]] == [{"score_ms"}] * n
+        assert all(isinstance(d["score_ms"], float) and d["score_ms"] >= 0
+                   for d in doc["diagnostics"])
+        assert sum(d["score_ms"] for d in doc["diagnostics"]) <= (
+            doc["timings_ms"]["score"] + 0.0005 * n)
+
     def test_ground_truth_not_read(self, dataset, tmp_path):
         # Without --emit-overlays, run needs the events but not the masks.
         manifest_path, n = dataset
@@ -190,9 +256,12 @@ class TestRun:
         assert len(list(out.glob("oms_*.pgm"))) == n
 
     def test_shorter_rerun_removes_stale_masks(self, dataset, tmp_path):
-        # A 3-frame run into the --out of a 12-frame run leaves 3 masks and
-        # overlays; the files it rewrites keep their inode (overwritten in
-        # place), and files of other names are kept.
+        # A 3-frame run into the --out of a 12-frame run leaves 3 masks (and
+        # overlays, with --emit-overlays); the files it rewrites keep their
+        # inode (overwritten in place), and files of other names are kept. A
+        # mask or overlay name stays only as PATTERN.format(i) for an i < 3:
+        # oms_000001.pgm (index 1, one digit too many) and oms_00003.pgm are
+        # removed, and so is overlay_00001.pgm by a run without overlays.
         manifest_path, n = dataset
         short = dataset_copy(manifest_path, tmp_path / "short")
         doc = json.loads(short.read_text())
@@ -204,13 +273,16 @@ class TestRun:
         for path in kept:
             path.write_text("keep")
         inode = (out / "oms_00000.pgm").stat().st_ino
-        result = run_cli("run", "--manifest", short, "--out", out, "--emit-overlays")
-        assert result.exit_code == 0, result.output
-        assert sorted(p.name for p in out.glob("o*_0*.pgm")) == sorted(
-            [f"oms_{i:05d}.pgm" for i in range(3)] + [f"overlay_{i:05d}.pgm" for i in range(3)]
-            + ["oms_0001.pgm"])
-        assert all(path.read_text() == "keep" for path in kept)
-        assert (out / "oms_00000.pgm").stat().st_ino == inode
+        for overlays in (["--emit-overlays"], []):
+            for name in ("oms_000001.pgm", "oms_00003.pgm", "overlay_00001.pgm"):
+                (out / name).write_text("stale")
+            result = run_cli("run", "--manifest", short, "--out", out, *overlays)
+            assert result.exit_code == 0, result.output
+            overlay_names = [f"overlay_{i:05d}.pgm" for i in range(3)] if overlays else []
+            assert sorted(p.name for p in out.glob("o*_0*.pgm")) == sorted(
+                [f"oms_{i:05d}.pgm" for i in range(3)] + overlay_names + ["oms_0001.pgm"])
+            assert all(path.read_text() == "keep" for path in kept)
+            assert (out / "oms_00000.pgm").stat().st_ino == inode
 
     def test_failed_rerun_leaves_no_run_json(self, dataset, tmp_path):
         # run.json is removed before the first mask is written and written
@@ -481,47 +553,6 @@ class TestSynth:
         assert any(m.any() for m in masks)
 
 
-class TestBench:
-    def test_smoke(self, dataset):
-        manifest_path, _ = dataset
-        result = run_cli("bench", "--manifest", manifest_path)
-        assert result.exit_code == 0, result.output
-        doc = json.loads(result.output)
-        assert doc["p50_ms"] > 0 and doc["p95_ms"] >= doc["p50_ms"]
-        assert run_cli("bench", "--manifest", manifest_path, "--threads", 2).exit_code == 2
-
-    def test_stage_timings(self, dataset):
-        manifest_path, _ = dataset
-        result = run_cli("bench", "--manifest", manifest_path)
-        assert result.exit_code == 0, result.output
-        doc = json.loads(result.output)
-        assert set(doc) == {"frames", "p50_ms", "p95_ms", "throughput_fps_single", "timings_ms"}
-        assert set(doc["timings_ms"]) == {"load", "bin"}
-        assert all(v >= 0 for v in doc["timings_ms"].values())
-
-    def test_one_frame(self, tmp_path):
-        # Every frame's latency is counted, the first too.
-        events = np.array([(5, 3, 4, 1)], dtype=EVENT_DTYPE)
-        manifest_path = write_dataset(tmp_path / "one", events, SensorGeometry(64, 48),
-                                      [np.zeros((48, 64), np.uint8)], [10])
-        result = run_cli("bench", "--manifest", manifest_path)
-        assert result.exit_code == 0, result.output
-        doc = strict_json(result.output)
-        assert doc["frames"] == 1 and 0 < doc["p50_ms"] == doc["p95_ms"]
-        assert 0 < doc["throughput_fps_single"] <= 1e3 / doc["p50_ms"]
-
-    def test_empty_dataset(self, tmp_path, rng):
-        from oms.events import EVENT_DTYPE
-
-        manifest_path = write_dataset(
-            tmp_path / "empty", np.empty(0, dtype=EVENT_DTYPE),
-            SensorGeometry(64, 48), [], [],
-        )
-        result = run_cli("bench", "--manifest", manifest_path)
-        assert result.exit_code == 0
-        assert "nothing to benchmark" in result.output
-
-
 def strict_json(text):
     """json.loads that fails on NaN and Infinity."""
     def reject(constant):
@@ -606,15 +637,16 @@ def scene_doc(**changes):
 
 
 class TestCliFuzz:
-    """run, eval and bench exit 0 or 2 on any config, thread count, alpha
-    and radii, start no thread, and never print or write a NaN; synth exits
-    0 or 2 on any scene config."""
+    """run and eval exit 0 or 2 on any config, thread count, alpha and radii,
+    start no thread, and never print or write a NaN, and a run that exits 0
+    records one diagnostic per frame; synth exits 0 or 2 on any scene
+    config."""
 
     @settings(max_examples=60, deadline=None)
     @given(config=FUZZ_CONFIGS, threads=FUZZ_THREADS, flags=FUZZ_FLAGS, verbose=st.booleans())
     @example(config={"sigma_c": float("inf")}, threads=None, flags={}, verbose=False)
-    def test_run_eval_bench(self, dataset, config, threads, flags, verbose):
-        manifest_path, _ = dataset
+    def test_run_eval(self, dataset, config, threads, flags, verbose):
+        manifest_path, n = dataset
         args = [a for kv in flags.items() for a in kv]
         with tempfile.TemporaryDirectory() as tmp, thread_starts() as started:
             tmp = Path(tmp)
@@ -625,15 +657,12 @@ class TestCliFuzz:
             results = [run_cli("run", "--manifest", manifest_path, "--out", out,
                                "--config", cfg, *thread_args, *args)]
             if results[0].exit_code == 0:
-                strict_json((out / "run.json").read_text())
+                assert len(strict_json((out / "run.json").read_text())["diagnostics"]) == n
             results.append(run_cli("eval", "--pred-dir", out, "--manifest", manifest_path,
                                    *(["--verbose"] if verbose else [])))
             if results[0].exit_code == 0:
                 assert results[1].exit_code == 0, results[1].output
                 strict_json(results[1].output)
-            results.append(run_cli("bench", "--manifest", manifest_path, *args))
-            if results[2].exit_code == 0:
-                strict_json(results[2].output)
         assert started == []
         for result in results:
             assert result.exit_code in (0, 2), result.output
@@ -917,3 +946,13 @@ class TestKernelDump:
         assert abs(sum(sum(r) for r in grid) - 1.0) < 1e-9
         assert run_cli("kernel-dump", "--radius", 2, "--sigma", "inf").exit_code == 2
 
+
+
+def test_commands():
+    # run.json's diagnostics are the one per-frame timer: there is no bench.
+    result = run_cli("--help")
+    assert result.exit_code == 0, result.output
+    listed = result.output.split("Commands:\n", 1)[1].splitlines()
+    assert sorted(line.split()[0] for line in listed) == ["eval", "kernel-dump", "run", "synth"]
+    result = run_cli("bench", "--manifest", "manifest.json")
+    assert result.exit_code == 2 and "No such command 'bench'" in result.output
