@@ -110,17 +110,17 @@ def resolve_params(config_doc: dict, **flags) -> OmsParams:
 
 def open_frames(manifest_path, lap):
     """(manifest, frames), where frames yields the dataset's binary frames (one
-    reused buffer) a window at a time as it reads, checks and bins the event
-    file. lap (of _laps) charges the manifest, the event file's header and
-    each read to "load", the binning to "bin". The header is checked at once;
-    a bad event raises, when the frames reach it, a ParseError that starts
-    with the event file's path."""
+    reused buffer) a window at a time as it reads, checks and bins the native
+    event file. lap (of _laps) charges the manifest, the event file's header
+    and each read to "load", the binning to "bin". The header is checked at
+    once; a bad event raises, when the frames reach it, a ParseError that
+    starts with the event file's path."""
     manifest = DatasetManifest.load(manifest_path)
     event_path, _ = manifest.resolve(Path(manifest_path).parent)
     chunks = _event_chunks(event_path, dataset_io._CHUNK)
     header = next(chunks)  # opens the file, checks its header now, before `oms run` touches --out
     # A header inside the manifest's geometry: the reader's record check bounds every event.
-    bounds = header is None or not all(map(int.__le__, header, manifest.geometry))
+    bounds = not all(map(int.__le__, header, manifest.geometry))
     lap("load")
     ts = np.array(manifest.mask_timestamps, dtype=np.int64)  # checked by the manifest
 

@@ -5,12 +5,13 @@ Native event file (".evt"):
     16-byte header: magic "EVT1", width (u16 LE), height (u16 LE),
     8 reserved zero bytes; then 13-byte packed records
     t (u64 LE, microseconds), x (u16 LE), y (u16 LE), p (i8, -1 or +1).
-    A CSV fallback with header line "t,x,y,p" is also accepted on read.
-    Both readers and write_events check records by oms.events' one rule;
-    read_events raises its ValidationError as a ParseError naming the file
-    and the record's byte offset or CSV line. Order is checked on write and
-    when a stream is binned, not on read. `oms run` and `oms eval` read a
-    native body _CHUNK records at a time (_event_chunks).
+    It is the one event file the package reads: EV-IMO and MOD recordings
+    come in through import_evimo and import_mod. The reader and write_events
+    check records by oms.events' one rule; read_events raises its
+    ValidationError as a ParseError naming the file and the record's byte
+    offset. Order is checked on write and when a stream is binned, not on
+    read. `oms run` and `oms eval` read the body _CHUNK records at a time
+    (_event_chunks).
 
 Masks are binary PGM (P5, maxval 255): 0 background, 255 moving object.
 Reads are tolerant (any nonzero byte decodes to 1, since public dataset
@@ -41,14 +42,12 @@ import numpy as np
 
 from .errors import OmsError, ParseError, ValidationError, _array, _json
 from .events import EVENT_DTYPE, SensorGeometry, _as_geometry, _check_order, _check_records
-from .events import _check_timestamps, _decode_geometry, _event_rows, _from_columns, as_event_array
+from .events import _check_timestamps, _decode_geometry, _from_columns, as_event_array
 
 MAGIC = b"EVT1"
 HEADER_SIZE = 16
 RECORD_SIZE = EVENT_DTYPE.itemsize  # 13
 FORMAT_VERSION = 1
-
-CSV_HEADER = "t,x,y,p"
 
 
 def write_events(events, geometry: SensorGeometry, path) -> None:
@@ -84,81 +83,41 @@ _CHUNK = 16384  # records per read of a streamed event file: a 213 KB buffer
 
 
 def read_events(path) -> np.ndarray:
-    """Read a native binary event file (or the CSV fallback) into EVENT_DTYPE."""
+    """Read a native binary event file into EVENT_DTYPE."""
     chunks = _event_chunks(Path(path), sys.maxsize)
     next(chunks)
     return next(chunks, np.empty(0, EVENT_DTYPE))
 
 
 def _event_chunks(path: Path, size: int):
-    """The records of an event file as EVENT_DTYPE chunks of at most size
-    records, after the header's geometry (None for CSV text) once the header
-    or text is checked. Each native chunk is read into one reused buffer,
-    valid until the next read, and checked by the record check with that
-    geometry. A ValidationError is raised as a ParseError naming the file."""
+    """The records of a native event file as EVENT_DTYPE chunks of at most
+    size records, after the header's geometry once the header is checked.
+    Each chunk is read into one reused buffer, valid until the next read,
+    and checked by the record check with that geometry. A ValidationError
+    is raised as a ParseError naming the file."""
     try:
         with _open(path, "event file") as f:
             head = f.read(HEADER_SIZE)
-            if head[:4] == MAGIC:
-                geometry = _header_geometry(head, path)
-                n, tail = divmod(os.fstat(f.fileno()).st_size - HEADER_SIZE, RECORD_SIZE)
-                at = lambda i: f"byte offset {HEADER_SIZE + i * RECORD_SIZE}"
-                if tail:
-                    raise ValidationError(f"truncated record at {at(n)}")
-                yield geometry
-                buf = np.empty(min(size, n), dtype=EVENT_DTYPE)
-                for start in range(0, n, size):
-                    chunk = buf[: n - start]
-                    got = f.readinto(chunk.view(np.uint8)) // RECORD_SIZE
-                    if got != len(chunk):  # the file was cut since its size was taken
-                        raise ValidationError(f"truncated record at {at(start + got)}")
-                    _check_records(chunk, geometry, lambda i: at(start + i))
-                    yield chunk
-                return
-            text = (head + f.read()).decode("ascii", "replace")
-        if not text.lstrip().startswith(CSV_HEADER):
-            raise ParseError(f"{path}: bad magic at byte offset 0 (not {MAGIC!r} or CSV)")
-        events = _parse_csv(text)
-        yield
-        yield from (events[i : i + size] for i in range(0, len(events), size))
-    except ValidationError as exc:  # the record checks name the record, this the file
+            if head[:4] != MAGIC:
+                raise ValidationError(f"bad magic at byte offset 0 (not {MAGIC!r})")
+            if len(head) < HEADER_SIZE:
+                raise ValidationError(f"truncated header at byte offset {len(head)}")
+            geometry = SensorGeometry(*struct.unpack("<HH", head[4:8])).validate()
+            n, tail = divmod(os.fstat(f.fileno()).st_size - HEADER_SIZE, RECORD_SIZE)
+            at = lambda i: f"byte offset {HEADER_SIZE + i * RECORD_SIZE}"
+            if tail:
+                raise ValidationError(f"truncated record at {at(n)}")
+            yield geometry
+            buf = np.empty(min(size, n), dtype=EVENT_DTYPE)
+            for start in range(0, n, size):
+                chunk = buf[: n - start]
+                got = f.readinto(chunk.view(np.uint8)) // RECORD_SIZE
+                if got != len(chunk):  # the file was cut since its size was taken
+                    raise ValidationError(f"truncated record at {at(start + got)}")
+                _check_records(chunk, geometry, lambda i: at(start + i))
+                yield chunk
+    except ValidationError as exc:  # the checks name the record or byte, this the file
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def event_file_geometry(path) -> SensorGeometry:
-    """Sensor geometry from a native event file header."""
-    with _open(path, "event file") as f:
-        return _header_geometry(f.read(HEADER_SIZE), path)
-
-
-def _header_geometry(head: bytes, path) -> SensorGeometry:
-    """The checked geometry in the first HEADER_SIZE bytes of a native file."""
-    if head[:4] != MAGIC:
-        raise ParseError(f"{path}: not a native event file")
-    if len(head) < HEADER_SIZE:
-        raise ParseError(f"{path}: truncated header at byte offset {len(head)}")
-    try:
-        return SensorGeometry(*struct.unpack("<HH", head[4:8])).validate()
-    except ValidationError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _parse_csv(text: str) -> np.ndarray:
-    """Rows after the header, the first non-blank line; blank lines are
-    skipped and errors name the physical line. A field is an optional "-"
-    and ASCII digits, with spaces or tabs around it."""
-    rows, lines = [], [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()][1:]
-    # int() also takes "+", "_" and other whitespace: one scan tells if any row holds them
-    junk = lambda s: s.encode("ascii", "replace").translate(None, b"-0123456789, \t")
-    check = junk("".join(line for _, line in lines))
-    for n, line in lines:
-        try:
-            if check and junk(line):
-                raise ValueError(f"{line!r} holds a character other than 0-9, '-', ',', space, tab")
-            rows.append(tuple(map(int, line.split(","))))  # int() strips spaces around a value
-        except ValueError as exc:
-            raise ValidationError(f"malformed CSV line {n}: {exc}") from exc
-    return _event_rows(rows, lambda i: f"CSV line {lines[i][0]}")
 
 
 # --- PGM masks -------------------------------------------------------------

@@ -91,7 +91,7 @@ def as_event_array(events: EventsLike) -> np.ndarray:
     return _event_rows(list(events) if np.iterable(events) else [events])
 
 
-def _event_rows(rows: list, where="event {}".format) -> np.ndarray:
+def _event_rows(rows: list) -> np.ndarray:
     """The records of rows that all pass _check_row. The rows are checked as
     one table; only a failing table is scanned row by row."""
     try:
@@ -104,22 +104,22 @@ def _event_rows(rows: list, where="event {}".format) -> np.ndarray:
                 return _from_columns(*table.T)
     except (TypeError, OverflowError):  # a row that is not a sequence, a value beyond int64
         pass
-    return _from_columns(*np.array([_check_row(row, where, i) for i, row in enumerate(rows)],
+    return _from_columns(*np.array([_check_row(row, i) for i, row in enumerate(rows)],
                                    dtype=np.int64).reshape(-1, 4).T)
 
 
-def _check_row(row, where, i: int) -> tuple:
+def _check_row(row, i: int) -> tuple:
     """The row check: row as four Python ints, once they are integers (never a
-    bool or a float) in _RANGES with p in _POLARITIES; else names where(i)."""
+    bool or a float) in _RANGES with p in _POLARITIES; else names event i."""
     values = tuple(row) if np.iterable(row) else ()
     if len(values) != 4 or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                                    for v in values):
-        raise ValidationError(f"{row!r} is not four integers (t, x, y, p) at {where(i)}")
+        raise ValidationError(f"{row!r} is not four integers (t, x, y, p) at event {i}")
     for (name, lo, hi), value in zip(_RANGES, values):
         if not lo <= value <= hi:
-            raise ValidationError(f"{name}={value} out of range [{lo}, {hi}] at {where(i)}")
+            raise ValidationError(f"{name}={value} out of range [{lo}, {hi}] at event {i}")
     if values[3] not in _POLARITIES:
-        raise ValidationError(f"invalid polarity p={values[3]} at {where(i)}")
+        raise ValidationError(f"invalid polarity p={values[3]} at event {i}")
     return tuple(map(int, values))
 
 

@@ -398,14 +398,40 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("row, field", [("-5,1,1,1", "t"), ("5,70000,1,1", "x")])
-    def test_csv_overflow_exit_2(self, tmp_path, row, field):
-        (tmp_path / "events.csv").write_text(f"t,x,y,p\n{row}\n")
-        DatasetManifest(SensorGeometry(64, 48), "events.csv", "masks", (10,)).save(
-            tmp_path / "manifest.json")
-        result = run_cli("run", "--manifest", tmp_path / "manifest.json", "--out", tmp_path / "o")
-        assert result.exit_code == 2, result.output
-        assert f"{field}=" in result.output and "CSV line 2" in result.output
+    def test_internal_error_exit_1(self, dataset, tmp_path, monkeypatch):
+        # An error that is not the package's, the file system's or memory's
+        # is an internal one: exit 1, and no run.json marks the run complete.
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "oms_frame", boom)
+        out = tmp_path / "run"
+        result = run_cli("run", "--manifest", dataset[0], "--out", out)
+        assert result.exit_code == 1, result.output
+        assert "internal error: boom" in result.output
+        assert not (out / "run.json").exists()
+
+    def test_text_event_file_refused(self, dataset, tmp_path):
+        # The native file is the one event input. A t,x,y,p text file fails
+        # the header check, which comes before --out is touched.
+        text = tmp_path / "ds" / "events.csv"
+        text.parent.mkdir()
+        text.write_text("t,x,y,p\n1,2,3,1\n")
+        manifest = tmp_path / "ds" / "manifest.json"
+        DatasetManifest(SensorGeometry(64, 48), "events.csv", "masks", (10,)).save(manifest)
+        message = f"{text}: bad magic at byte offset 0 (not b'EVT1')"
+        with pytest.raises(ParseError) as info:
+            read_events(text)
+        assert str(info.value) == message
+        out = tmp_path / "run"
+        assert run_cli("run", "--manifest", dataset[0], "--out", out).exit_code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "run.json" in before
+        result = run_cli("run", "--manifest", manifest, "--out", out)
+        assert result.exit_code == 2 and result.output == f"error: {message}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        result = run_cli("eval", "--pred-dir", out, "--manifest", manifest)
+        assert result.exit_code == 2 and result.output == f"error: {message}\n"
 
 
 class TestEval:
@@ -888,35 +914,27 @@ def mutated(draw, data: bytes) -> bytes:
 
 @pytest.fixture(scope="module")
 def tiny_datasets(tmp_path_factory):
-    """A 16x8, 3-frame dataset with a native and a CSV event file, and oms
-    run's masks for it: {"native" | "csv": manifest path, "preds": dir}."""
+    """A 16x8, 3-frame dataset and oms run's masks for it: (manifest path, dir)."""
     config = SceneConfig.from_dict(scene_doc(n_frames=4))
     events, masks, ts = generate_scene(config)
     root = tmp_path_factory.mktemp("tiny")
-    native = write_dataset(root / "native", events, config.geometry, masks, ts)
-    csv = dataset_copy(native, root / "csv")
-    (csv.parent / "events.evt").unlink()
-    (csv.parent / "events.csv").write_text(
-        "t,x,y,p\n" + "".join(f"{t},{x},{y},{p}\n" for t, x, y, p in events.tolist()))
-    doc = json.loads(csv.read_text())
-    csv.write_text(json.dumps({**doc, "event_file": "events.csv"}))
+    manifest = write_dataset(root / "ds", events, config.geometry, masks, ts)
     preds = root / "preds"
-    assert run_cli("run", "--manifest", native, "--out", preds, "--alpha", 0.13).exit_code == 0
-    return {"native": native, "csv": csv, "preds": preds}
+    assert run_cli("run", "--manifest", manifest, "--out", preds, "--alpha", 0.13).exit_code == 0
+    return manifest, preds
 
 
 class TestFileFuzz:
     """run and eval exit 0 or 2 on truncated, byte-flipped or extended
-    manifests, event files (native and CSV) and masks, and never write a
-    NaN or an Infinity."""
+    manifests, event files and masks, and never write a NaN or an Infinity."""
 
     @settings(max_examples=100, deadline=None)
-    @given(layout=st.sampled_from(["native", "csv"]), overlays=st.booleans(), data=st.data())
-    def test_run_eval(self, tiny_datasets, layout, overlays, data):
+    @given(overlays=st.booleans(), data=st.data())
+    def test_run_eval(self, tiny_datasets, overlays, data):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            manifest = dataset_copy(tiny_datasets[layout], tmp / "ds")
-            preds = shutil.copytree(tiny_datasets["preds"], tmp / "preds")
+            manifest = dataset_copy(tiny_datasets[0], tmp / "ds")
+            preds = shutil.copytree(tiny_datasets[1], tmp / "preds")
             files = [manifest, manifest.parent / json.loads(manifest.read_text())["event_file"],
                      *sorted((tmp / "ds" / "masks").iterdir()), *sorted(preds.glob("oms_*"))]
             mutate = data.draw(st.lists(st.sampled_from(files), min_size=1, max_size=2,

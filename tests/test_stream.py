@@ -27,19 +27,13 @@ from test_events import make_events, scanned_stack
 GEOM = SensorGeometry(7, 5)
 
 
-def write_stream(root: Path, events, timestamps, geometry=GEOM, header=GEOM, csv=False) -> Path:
+def write_stream(root: Path, events, timestamps, geometry=GEOM, header=GEOM) -> Path:
     """An event file of the raw records (unchecked, so bad ones can be
     written) and a manifest for it; returns the manifest's path."""
     root.mkdir(parents=True, exist_ok=True)
-    if csv:
-        name = "events.csv"
-        (root / name).write_text("t,x,y,p\n" + "".join(f"{t},{x},{y},{p}\n"
-                                                       for t, x, y, p in events.tolist()))
-    else:
-        name = "events.evt"
-        head = MAGIC + np.array(header, "<u2").tobytes() + bytes(8)
-        (root / name).write_bytes(head + events.tobytes())
-    DatasetManifest(geometry, name, "masks", tuple(timestamps)).save(root / "manifest.json")
+    head = MAGIC + np.array(header, "<u2").tobytes() + bytes(8)
+    (root / "events.evt").write_bytes(head + events.tobytes())
+    DatasetManifest(geometry, "events.evt", "masks", tuple(timestamps)).save(root / "manifest.json")
     return root / "manifest.json"
 
 
@@ -63,21 +57,16 @@ class TestChunkBoundaries:
         ts=st.lists(st.integers(0, 12), max_size=30),  # a few values: long runs of equal t
         bounds=st.lists(st.integers(-2, 14), max_size=8, unique=True),
         size=st.sampled_from([2, 3]),
-        csv=st.booleans(),
         header=st.sampled_from([GEOM, SensorGeometry(5, 4)]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(ts=[1, 1, 1, 1, 1, 1, 1], bounds=[0, 1, 2], size=2, csv=False, header=GEOM, seed=0)
-    @example(ts=[1, 2, 3, 3, 3, 4], bounds=[3], size=3, csv=False, header=GEOM,  # after a tie
-             seed=0)
-    @example(ts=[0, 5, 5, 5, 5, 9], bounds=[4, 5], size=2, csv=False, header=GEOM,  # ties
-             seed=0)
-    @example(ts=[], bounds=[5, 9], size=2, csv=False, header=GEOM, seed=0)  # an empty event file
-    @example(ts=[], bounds=[5, 9], size=2, csv=True, header=GEOM, seed=0)
-    @example(ts=[0, 1, 2, 3, 4, 5], bounds=[2, 4], size=2, csv=False, header=SensorGeometry(5, 4),
-             seed=0)
+    @example(ts=[1, 1, 1, 1, 1, 1, 1], bounds=[0, 1, 2], size=2, header=GEOM, seed=0)
+    @example(ts=[1, 2, 3, 3, 3, 4], bounds=[3], size=3, header=GEOM, seed=0)  # after a tie
+    @example(ts=[0, 5, 5, 5, 5, 9], bounds=[4, 5], size=2, header=GEOM, seed=0)  # ties
+    @example(ts=[], bounds=[5, 9], size=2, header=GEOM, seed=0)  # an empty event file
+    @example(ts=[0, 1, 2, 3, 4, 5], bounds=[2, 4], size=2, header=SensorGeometry(5, 4), seed=0)
     @settings(max_examples=60, deadline=None)
-    def test_matches_scan_oracle(self, ts, bounds, size, csv, header, seed):
+    def test_matches_scan_oracle(self, ts, bounds, size, header, seed):
         # Ties of t may fall across a chunk boundary. A header smaller than the
         # manifest's geometry bounds every event, so the windows check none.
         rng = np.random.default_rng(seed)
@@ -87,7 +76,7 @@ class TestChunkBoundaries:
         bounds = sorted(bounds)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(dataset_io, "_CHUNK", size)
-            stack = streamed(write_stream(Path(tmp), ev, bounds, header=header, csv=csv))
+            stack = streamed(write_stream(Path(tmp), ev, bounds, header=header))
         assert stack.shape == (len(bounds), 5, 7)
         assert np.array_equal(stack, scanned_stack(ev, bounds, GEOM))
         assert np.array_equal(stack, bin_events(ev, bounds, GEOM))
@@ -125,21 +114,19 @@ class TestChunkBoundaries:
         assert str(info.value) == (f"{tmp_path / 'events.evt'}: {message} "
                                    f"at byte offset {HEADER_SIZE + 13 * i}")
 
-    @pytest.mark.parametrize("csv", [False, True], ids=["native", "csv"])
-    def test_outside_manifest_named_by_event_index(self, tmp_path, chunk, csv):
+    def test_outside_manifest_named_by_event_index(self, tmp_path, chunk):
         # The header allows x = 5, the manifest does not: the window's bounds
         # check names the event by its index in the stream, as bin_events does.
         ev = make_events(range(9), xs=[0, 1, 2, 3, 4, 4, 4, 5, 0])
-        path = write_stream(tmp_path, ev, [3, 8], geometry=SensorGeometry(5, 5), csv=csv)
+        path = write_stream(tmp_path, ev, [3, 8], geometry=SensorGeometry(5, 5))
         with pytest.raises(ValidationError) as in_memory:
             bin_events(ev, [3, 8], SensorGeometry(5, 5))
         assert str(in_memory.value) == "(x=5, y=0) outside 5x5 sensor at event 7"
         with pytest.raises(ParseError) as info:
             streamed(path)
-        assert str(info.value) == f"{path.parent / ('events.csv' if csv else 'events.evt')}: " \
-                                  f"{in_memory.value}"
+        assert str(info.value) == f"{path.parent / 'events.evt'}: {in_memory.value}"
         # After the last timestamp it is dropped, not checked.
-        path = write_stream(tmp_path, ev, [3, 6], geometry=SensorGeometry(5, 5), csv=csv)
+        path = write_stream(tmp_path, ev, [3, 6], geometry=SensorGeometry(5, 5))
         assert np.array_equal(streamed(path), scanned_stack(ev, [3, 6], SensorGeometry(5, 5)))
 
 
