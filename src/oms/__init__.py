@@ -7,7 +7,6 @@ masks with mIoU and detection rate.
 
 from .engine import (
     OmsParams,
-    apply_mask,
     filter_frame,
     oms_frame,
     oms_scores,
@@ -16,10 +15,8 @@ from .engine import (
 from .errors import OmsError, ParameterError, ParseError, ValidationError
 from .events import (
     EVENT_DTYPE,
-    Event,
     SensorGeometry,
     accumulate_frame,
-    as_event_array,
     window_events,
 )
 from .kernels import Kernel, kernel_to_text, make_feathered_kernel
@@ -32,13 +29,12 @@ from .metrics import (
     iou,
     score_frame,
 )
-from .synthetic import SceneConfig, SceneObject, generate_scene, render_frames, scene_br
+from .synthetic import SceneConfig, SceneObject, generate_scene, scene_br
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EVENT_DTYPE",
-    "Event",
     "FrameScore",
     "Kernel",
     "OmsError",
@@ -51,8 +47,6 @@ __all__ = [
     "SequenceReport",
     "ValidationError",
     "accumulate_frame",
-    "apply_mask",
-    "as_event_array",
     "bf_ratio",
     "detection",
     "evaluate_sequence",
@@ -64,7 +58,6 @@ __all__ = [
     "oms_frame",
     "oms_scores",
     "oms_sequence",
-    "render_frames",
     "scene_br",
     "score_frame",
     "window_events",

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import OmsError, ParseError, ValidationError, _array, _json
 from .events import EVENT_DTYPE, SensorGeometry, _as_geometry, _check_order, _check_records
-from .events import _check_timestamps, _decode_geometry, _from_columns, as_event_array
+from .events import _as_events, _check_timestamps, _decode_geometry, _from_columns
 
 MAGIC = b"EVT1"
 HEADER_SIZE = 16
@@ -50,10 +50,10 @@ RECORD_SIZE = EVENT_DTYPE.itemsize  # 13
 FORMAT_VERSION = 1
 
 
-def write_events(events, geometry: SensorGeometry, path) -> None:
+def write_events(events: np.ndarray, geometry: SensorGeometry, path) -> None:
     """Write the native binary event format (checks order and records first)."""
     geometry = _as_geometry(geometry)
-    ev = as_event_array(events)
+    ev = _as_events(events)
     _check_order(ev)
     _check_records(ev, geometry)
     header = MAGIC + struct.pack("<HH", geometry.width, geometry.height) + b"\x00" * 8
@@ -231,7 +231,7 @@ class DatasetManifest:
 
 def write_dataset(
     out_dir,
-    events,
+    events: np.ndarray,
     geometry: SensorGeometry,
     masks: Sequence[np.ndarray],
     timestamps: Sequence[int],

@@ -335,10 +335,3 @@ def _sequence_kernels(shape: tuple[int, ...], params: OmsParams) -> tuple[Kernel
                     "no pixel can spike", params.alpha, bound)
     return center, surround
 
-
-def apply_mask(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Pixel-wise AND of a binary frame and a mask, as uint8 {0,1}."""
-    frame, mask = _check_frame(frame), _array(ValidationError, "mask", mask, 2)
-    if frame.shape != mask.shape:
-        raise ValidationError(f"shape mismatch: frame {frame.shape} vs mask {mask.shape}")
-    return (frame.astype(bool) & mask.astype(bool)).astype(np.uint8)

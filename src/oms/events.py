@@ -1,17 +1,17 @@
 """Event-stream primitives, and the one owner of the event record.
 
 Events are DVS brightness-change records (t, x, y, p) with t in integer
-microseconds and polarity p in {-1, +1}. Streams are kept as numpy
-structured arrays (EVENT_DTYPE) so that windowing and accumulation are
-vectorized; single records use the Event named tuple. One frame iterator
+microseconds and polarity p in {-1, +1}. A stream is a 1-D numpy
+structured array of EVENT_DTYPE records, the one in-memory event type, so
+that windowing and accumulation are vectorized. One frame iterator
 (_frames) bins a stream that arrives in chunks, yielding each window's
 binary frame as soon as the window closes: `oms run` and `oms eval` feed it
 an event file one read at a time, and bin_events stacks its frames over one
 in-memory chunk. window_events and accumulate_frame work one window at a time.
 
-Every rule for a record lives here: the field ranges (_RANGES), the row
-check (_event_rows), the record check (_check_records), the order check
-(_check_order) and the constructor from columns (_from_columns).
+Every rule for a record lives here: the input check (_as_events), the
+record check (_check_records), the order check (_check_order) and the
+constructor from columns (_from_columns).
 
 The accumulation step collapses both time and polarity: a pixel of the
 output binary frame is 1 iff at least one event of either polarity landed
@@ -21,8 +21,7 @@ downstream center-surround stage.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,59 +67,17 @@ def _decode_geometry(doc) -> SensorGeometry:
     return SensorGeometry(_json("geometry", doc)["width"], doc["height"]).validate()
 
 
-class Event(NamedTuple):
-    t: int
-    x: int
-    y: int
-    p: int
-
-
-EventsLike = Union[np.ndarray, Sequence[Event], Sequence[tuple]]
-
-
-# The one table of field ranges, inclusive: t fits the int64 time that
-# streams are windowed on, x and y their u16 fields. p is -1 or +1.
-_RANGES = (("t", 0, _T_MAX), ("x", 0, _MAX_SIDE), ("y", 0, _MAX_SIDE))
 _POLARITIES = (-1, 1)
 
 
-def as_event_array(events: EventsLike) -> np.ndarray:
-    """An EVENT_DTYPE array as it is, or the checked records of (t, x, y, p) rows."""
-    if isinstance(events, np.ndarray) and events.dtype == EVENT_DTYPE:
+def _as_events(events) -> np.ndarray:
+    """events, once it is a 1-D array of EVENT_DTYPE records, the one in-memory
+    event type; else ValidationError names what it was given."""
+    if isinstance(events, np.ndarray) and events.dtype == EVENT_DTYPE and events.ndim == 1:
         return events
-    return _event_rows(list(events) if np.iterable(events) else [events])
-
-
-def _event_rows(rows: list) -> np.ndarray:
-    """The records of rows that all pass _check_row. The rows are checked as
-    one table; only a failing table is scanned row by row."""
-    try:
-        kinds = set(map(type, chain.from_iterable(rows)))
-        if set(map(len, rows)) <= {4} and all(
-                issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
-            table = np.fromiter(chain.from_iterable(rows), np.int64, 4 * len(rows)).reshape(-1, 4)
-            lo, hi = zip(*(r[1:] for r in _RANGES))
-            if not ((table[:, :3] < lo) | (table[:, :3] > hi) | (np.abs(table[:, 3:]) != 1)).any():
-                return _from_columns(*table.T)
-    except (TypeError, OverflowError):  # a row that is not a sequence, a value beyond int64
-        pass
-    return _from_columns(*np.array([_check_row(row, i) for i, row in enumerate(rows)],
-                                   dtype=np.int64).reshape(-1, 4).T)
-
-
-def _check_row(row, i: int) -> tuple:
-    """The row check: row as four Python ints, once they are integers (never a
-    bool or a float) in _RANGES with p in _POLARITIES; else names event i."""
-    values = tuple(row) if np.iterable(row) else ()
-    if len(values) != 4 or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                                   for v in values):
-        raise ValidationError(f"{row!r} is not four integers (t, x, y, p) at event {i}")
-    for (name, lo, hi), value in zip(_RANGES, values):
-        if not lo <= value <= hi:
-            raise ValidationError(f"{name}={value} out of range [{lo}, {hi}] at event {i}")
-    if values[3] not in _POLARITIES:
-        raise ValidationError(f"invalid polarity p={values[3]} at event {i}")
-    return tuple(map(int, values))
+    what = (f"an array of shape {events.shape} and dtype {events.dtype}"
+            if isinstance(events, np.ndarray) else type(events).__name__)
+    raise ValidationError(f"events must be a 1-D array of EVENT_DTYPE records, got {what}")
 
 
 def _from_columns(t, x, y, p) -> np.ndarray:
@@ -178,7 +135,7 @@ def _check_timestamps(mask_timestamps: Sequence[int]) -> np.ndarray:
     return ts
 
 
-def window_events(stream: EventsLike, mask_timestamps: Sequence[int]) -> list[np.ndarray]:
+def window_events(stream: np.ndarray, mask_timestamps: Sequence[int]) -> list[np.ndarray]:
     """Partition a sorted stream into one window per mask timestamp.
 
     Window k is the EVENT_DTYPE slice of the stream with t in
@@ -186,7 +143,7 @@ def window_events(stream: EventsLike, mask_timestamps: Sequence[int]) -> list[np
     to and including the first timestamp. Events after the last timestamp
     are dropped (no ground truth exists for them).
     """
-    ev = as_event_array(stream)
+    ev = _as_events(stream)
     ends = _window_ends(_check_order(ev), _check_timestamps(mask_timestamps))
     bounds = np.concatenate(([0], ends))
     _check_records(ev)
@@ -200,7 +157,7 @@ def _window_ends(t: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 
 def bin_events(
-    stream: EventsLike, mask_timestamps: Sequence[int], geometry: SensorGeometry
+    stream: np.ndarray, mask_timestamps: Sequence[int], geometry: SensorGeometry
 ) -> np.ndarray:
     """Bin a sorted stream into one binary frame per mask timestamp.
 
@@ -212,7 +169,7 @@ def bin_events(
     geometry = _as_geometry(geometry)
     ts = _check_timestamps(mask_timestamps)
     stack = np.empty((len(ts), *geometry.shape), dtype=np.uint8)
-    for k, frame in enumerate(_frames([as_event_array(stream)], ts, geometry, polarity=True)):
+    for k, frame in enumerate(_frames([_as_events(stream)], ts, geometry, polarity=True)):
         stack[k] = frame
     return stack
 
@@ -263,14 +220,14 @@ def _set_pixels(frame: np.ndarray, events: np.ndarray, width: int) -> None:
     frame[index] = 1
 
 
-def accumulate_frame(window: EventsLike, geometry: SensorGeometry) -> np.ndarray:
+def accumulate_frame(window: np.ndarray, geometry: SensorGeometry) -> np.ndarray:
     """Collapse a window into a binary frame: pixel = 1 iff any event hit it.
 
     Polarity is ignored ("compressed") on purpose. Returns a uint8 array of
     shape (height, width) with values in {0, 1}.
     """
     geometry = _as_geometry(geometry)
-    ev = as_event_array(window)
+    ev = _as_events(window)
     _check_records(ev, geometry, polarity=False)
     frame = np.zeros(geometry.shape, dtype=np.uint8)
     _set_pixels(frame.reshape(-1), ev, geometry.width)

@@ -132,7 +132,7 @@ def _object_footprint(obj: SceneObject, frame_index: int, shape: tuple[int, int]
     return mask
 
 
-def render_frames(config: SceneConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _render_frames(config: SceneConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Rendered boolean frames and per-frame object footprints, frame 0..n-1."""
     rng = np.random.default_rng(_check_type("config", config, SceneConfig).seed)
     h, w = config.geometry.shape
@@ -159,7 +159,7 @@ def generate_scene(
     image and produces no events). Event order inside a frame is row-major
     change pixels followed by noise events; timestamps are non-decreasing.
     """
-    frames, footprints = render_frames(config)
+    frames, footprints = _render_frames(config)
     # Independent noise stream so footprints/frames stay noise-free.
     rng = np.random.default_rng((config.seed, 1))
     h, w = config.geometry.shape

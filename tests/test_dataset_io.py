@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oms import EVENT_DTYPE, Event, OmsError, SensorGeometry, ValidationError, as_event_array
+from oms import EVENT_DTYPE, OmsError, SensorGeometry, ValidationError
 from oms.dataset_io import (
     MAGIC,
     DatasetManifest,
@@ -50,7 +50,7 @@ class TestEventFiles:
 
     def test_one_event_file_size(self, tmp_path):
         path = tmp_path / "one.evt"
-        write_events(as_event_array([Event(1, 2, 3, 1)]), GEOM, path)
+        write_events(np.array([(1, 2, 3, 1)], EVENT_DTYPE), GEOM, path)
         assert path.stat().st_size == 29  # 16 + 13
 
     def test_round_trip(self, tmp_path, rng):
@@ -377,14 +377,14 @@ class TestManifest:
     def test_numpy_int_geometry_round_trip(self, tmp_path):
         # json.dumps refused the numpy ints after the events and masks were written.
         geometry = SensorGeometry(np.int64(8), np.int32(6))
-        manifest_path = write_dataset(tmp_path / "ds", [], geometry, [np.zeros((6, 8))], [1])
+        manifest_path = write_dataset(tmp_path / "ds", np.empty(0, EVENT_DTYPE), geometry, [np.zeros((6, 8))], [1])
         manifest, events, masks = load_dataset(manifest_path)
         assert manifest.geometry == (8, 6) and len(events) == 0 and masks[0].shape == (6, 8)
         assert json.loads(manifest_path.read_text())["geometry"] == {"width": 8, "height": 6}
 
     def test_dataset_length_mismatch(self, tmp_path):
         with pytest.raises(ValidationError, match="^2 masks but 1 timestamps$"):
-            write_dataset(tmp_path / "ds", [], GEOM, [np.zeros((48, 64))] * 2, [1])
+            write_dataset(tmp_path / "ds", np.empty(0, EVENT_DTYPE), GEOM, [np.zeros((48, 64))] * 2, [1])
         assert not (tmp_path / "ds").exists()
 
 

@@ -15,7 +15,6 @@ from oms import (
     OmsParams,
     ParameterError,
     ValidationError,
-    apply_mask,
     filter_frame,
     make_feathered_kernel,
     oms_frame,
@@ -655,26 +654,3 @@ def test_lone_kernel_raises_parameter_error(call):
     for kernels in ((None, surround), (center, None)):
         with pytest.raises(ParameterError, match="both the center and the surround kernel"):
             call(frame, OmsParams(), *kernels)
-
-
-class TestApplyMask:
-    def test_identity_and_annihilator(self, rng):
-        frame = (rng.random((16, 16)) < 0.4).astype(np.uint8)
-        assert np.array_equal(apply_mask(frame, np.ones_like(frame)), frame)
-        assert not apply_mask(frame, np.zeros_like(frame)).any()
-
-    def test_popcount_oracle(self, rng):
-        frame = (rng.random((32, 32)) < 0.4).astype(np.uint8)
-        mask = (rng.random((32, 32)) < 0.4).astype(np.uint8)
-        out = apply_mask(frame, mask)
-        expected = sum(
-            1
-            for y in range(32)
-            for x in range(32)
-            if frame[y, x] and mask[y, x]
-        )
-        assert int(out.sum()) == expected
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            apply_mask(np.zeros((4, 4), np.uint8), np.zeros((4, 5), np.uint8))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import oms
 from oms import (
     EVENT_DTYPE,
-    Event,
     FrameScore,
     Kernel,
     OmsError,
@@ -24,8 +23,6 @@ from oms import (
     SequenceReport,
     ValidationError,
     accumulate_frame,
-    apply_mask,
-    as_event_array,
     bf_ratio,
     detection,
     evaluate_sequence,
@@ -37,7 +34,6 @@ from oms import (
     oms_frame,
     oms_scores,
     oms_sequence,
-    render_frames,
     scene_br,
     score_frame,
     window_events,
@@ -88,6 +84,7 @@ def test_accepted(build):
 
 EVENTS = np.zeros(2, dtype=EVENT_DTYPE)
 EVENTS["p"] = 1
+EVENTS_2D = EVENTS.reshape(1, 2)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -130,13 +127,15 @@ FRAME = np.zeros((16, 16), np.uint8)
 KERNEL = make_feathered_kernel(2, 1.0)
 RAGGED = [[1, 2], [3]]  # a nested list that is not an array
 ARRAY = np.zeros((2, 2))  # a multi-element array where a string or a bool belongs
+OTHER_DTYPE = np.dtype([("t", "<i8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
 
 # One bad call or more for each exported callable, and the error it raises.
 # Data of the wrong kind or content raises ValidationError or ParameterError;
 # a foreign object where an OmsParams, Kernel or SceneConfig belongs raises
-# TypeError, as does a wrong argument count.
+# TypeError, as does a wrong argument count. A row's index is its test id, so
+# a new row takes the place of a removed one, or goes at the end.
 CONTRACT = [
-    ("Event", lambda: Event(1, 2), TypeError),
+    ("window_events", lambda: window_events(EVENTS_2D, [1]), ValidationError),
     ("FrameScore", lambda: FrameScore(1.0), TypeError),
     ("Kernel", lambda: Kernel(1, 1.0, np.ones((3, 3))), ParameterError),
     ("OmsParams", lambda: OmsParams(mode=None), ParameterError),
@@ -146,8 +145,8 @@ CONTRACT = [
     ("SensorGeometry", lambda: SensorGeometry(8), TypeError),
     ("SequenceReport", lambda: SequenceReport(1.0), TypeError),
     ("accumulate_frame", lambda: accumulate_frame(None, (8, 8)), ValidationError),
-    ("apply_mask", lambda: apply_mask(FRAME, np.zeros((4, 5))), ValidationError),
-    ("as_event_array", lambda: as_event_array("abcd"), ValidationError),
+    ("accumulate_frame", lambda: accumulate_frame(EVENTS_2D, (8, 8)), ValidationError),
+    ("window_events", lambda: window_events(EVENTS[0], [1]), ValidationError),
     ("bf_ratio", lambda: bf_ratio(FRAME, np.zeros((3, 3))), ValidationError),
     ("detection", lambda: detection(None, FRAME), ValidationError),
     ("evaluate_sequence", lambda: evaluate_sequence([FRAME], [FRAME, FRAME], [FRAME]),
@@ -163,7 +162,7 @@ CONTRACT = [
     ("oms_scores", lambda: oms_scores(FRAME, None), TypeError),
     ("oms_scores", lambda: oms_scores(FRAME, OmsParams(), KERNEL, None), ParameterError),
     ("oms_sequence", lambda: oms_sequence(5, OmsParams()), ValidationError),
-    ("render_frames", lambda: render_frames(None), TypeError),
+    ("accumulate_frame", lambda: accumulate_frame([(1, 2, 3, 1)], (8, 8)), ValidationError),
     ("scene_br", lambda: scene_br(None), TypeError),
     ("score_frame", lambda: score_frame(FRAME, None), ValidationError),
     ("window_events", lambda: window_events(EVENTS, None), ValidationError),
@@ -173,8 +172,9 @@ CONTRACT = [
     ("oms_frame", lambda: oms_frame(RAGGED, OmsParams()), ValidationError),
     ("oms_scores", lambda: oms_scores(RAGGED, OmsParams()), ValidationError),
     ("filter_frame", lambda: filter_frame(RAGGED, KERNEL), ValidationError),
-    ("apply_mask", lambda: apply_mask(RAGGED, FRAME), ValidationError),
-    ("apply_mask", lambda: apply_mask(FRAME, RAGGED), ValidationError),
+    ("window_events", lambda: window_events(EVENTS.astype(OTHER_DTYPE), [1]), ValidationError),
+    ("accumulate_frame", lambda: accumulate_frame(EVENTS[:1].reshape(()), (8, 8)),
+     ValidationError),
     ("Kernel", lambda: Kernel(2, 1.0, RAGGED), ParameterError),
     ("Kernel", lambda: Kernel(1, 1.0, [[None, None], [None, None]]), ParameterError),
     ("evaluate_sequence", lambda: evaluate_sequence(None, [FRAME], [FRAME]), ValidationError),
@@ -194,6 +194,20 @@ def test_input_contract(name, call, error):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
+
+
+# The public surface, pinned: an export is added or removed only on purpose.
+EXPORTS = [
+    "EVENT_DTYPE", "FrameScore", "Kernel", "OmsError", "OmsParams", "ParameterError", "ParseError",
+    "SceneConfig", "SceneObject", "SensorGeometry", "SequenceReport", "ValidationError",
+    "accumulate_frame", "bf_ratio", "detection", "evaluate_sequence", "filter_frame",
+    "generate_scene", "iou", "kernel_to_text", "make_feathered_kernel", "oms_frame", "oms_scores",
+    "oms_sequence", "scene_br", "score_frame", "window_events",
+]
+
+
+def test_exports_pinned():
+    assert sorted(oms.__all__) == EXPORTS
 
 
 def test_input_contract_covers_every_export():
@@ -240,7 +254,7 @@ PARAMS = st.sampled_from([OmsParams(), OmsParams(alpha=0.1),
 KERNELS = st.sampled_from([KERNEL, make_feathered_kernel(1, 0.5), Kernel(1, 0.0, [[0.25] * 2] * 2),
                            Kernel(1, 1.0, np.full((2, 2), np.nan))])
 CONFIGS = st.sampled_from([scene(), scene(objects=()), scene(noise_rate=2.0, seed=5)])
-ROWS = st.sampled_from([EVENTS, [(1, 2, 3, 1), (2, 0, 0, -1)], [], [Event(5, 1, 1, -1)]])
+RECORDS = st.sampled_from([EVENTS, EVENTS[:0]])
 STAMPS = st.sampled_from([[1, 2], (0,), np.array([1, 5]), []])
 SIDES = st.integers(1, 64)
 GEOMETRY = st.sampled_from([(8, 8), SensorGeometry(16, 8)]) | st.tuples(SIDES, SIDES)
@@ -250,7 +264,6 @@ MODES = st.sampled_from(["dense", "strided"])
 KERN = (Kernel, type(None))  # either kernel may be None
 
 FUZZ = {
-    "Event": [slot(st.integers(0, 9))] * 4,
     "FrameScore": [slot(NUMBER)] * 5,
     "Kernel": [slot(st.integers(1, 3), size=True), slot(NUMBER),
                slot(st.sampled_from([np.full((2, 2), 0.25), [[1, 0], [0, 1]], np.ones((4, 4))]))],
@@ -265,9 +278,7 @@ FUZZ = {
                     slot(PAIR), slot(PAIR)],
     "SensorGeometry": [slot(SIDES, size=True)] * 2,
     "SequenceReport": [slot(NUMBER)] * 6,
-    "accumulate_frame": [slot(ROWS), slot(GEOMETRY, size=True)],
-    "apply_mask": [slot(FRAMES)] * 2,
-    "as_event_array": [slot(ROWS)],
+    "accumulate_frame": [slot(RECORDS), slot(GEOMETRY, size=True)],
     "bf_ratio": [slot(FRAMES)] * 2,
     "detection": [slot(FRAMES)] * 2,
     "evaluate_sequence": [slot(st.lists(FRAMES, min_size=1, max_size=2))] * 3 + [slot(st.booleans())],
@@ -279,10 +290,9 @@ FUZZ = {
     "oms_frame": [slot(FRAMES), slot(PARAMS, OmsParams), slot(KERNELS, KERN), slot(KERNELS, KERN)],
     "oms_scores": [slot(FRAMES), slot(PARAMS, OmsParams), slot(KERNELS, KERN), slot(KERNELS, KERN)],
     "oms_sequence": [slot(st.lists(FRAMES, max_size=2)), slot(PARAMS, OmsParams), slot(SIDES)],
-    "render_frames": [slot(CONFIGS, SceneConfig)],
     "scene_br": [slot(CONFIGS, SceneConfig)],
     "score_frame": [slot(FRAMES)] * 2,
-    "window_events": [slot(ROWS), slot(STAMPS)],
+    "window_events": [slot(RECORDS), slot(STAMPS)],
 }
 
 

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,13 +5,12 @@ from hypothesis import strategies as st
 
 from oms import (
     EVENT_DTYPE,
-    Event,
     SensorGeometry,
     ValidationError,
     accumulate_frame,
-    as_event_array,
     window_events,
 )
+from oms.dataset_io import write_dataset, write_events
 from oms.events import bin_events
 from oms.synthetic import generate_scene
 
@@ -93,9 +90,11 @@ class TestWindowEvents:
         assert list(glued) == [t for t in ts if t <= bounds[-1]]
 
 
-# Rows that are not four integers (never a bool or a float) with t in
-# [0, 2^63 - 1], x and y in [0, 65535] and p -1 or +1, nor a sequence of them.
-BAD_ROWS = {
+# Anything but a 1-D array of EVENT_DTYPE records: rows that are not four
+# integers, or valid rows, a record array of another shape, or records of
+# another dtype.
+OTHER_DTYPE = np.dtype([("t", "<i8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
+BAD_EVENTS = {
     "short": [(1, 2)],
     "string": "abc",
     "negative_t": [(-1, 2, 3, 1)],
@@ -104,52 +103,26 @@ BAD_ROWS = {
     "bool_t": [(True, 2, 3, 1)],
     "polarity_0": [(1, 2, 3, 0)],
     "scalar": 5,
+    "valid_tuples": [(1, 2, 3, 1), (2, 0, 0, -1)],
+    "2d": make_events([1, 2]).reshape(1, 2),
+    "0d": make_events([1]).reshape(()),
+    "record": make_events([1])[0],
+    "other_dtype": np.ones(2, OTHER_DTYPE),
 }
-
-VALID_ROWS = st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 65535),
-                                st.integers(0, 65535), st.sampled_from([-1, 1])), max_size=20)
-
-# (field index, bad value, what the message names)
-BAD_VALUES = [(0, -1, "t="), (0, 2**63, "t="), (0, 2**64, "t="), (1, 65536, "x="),
-              (2, -1, "y="), (3, 0, "polarity"), (3, 2, "polarity"), (3, -128, "polarity"),
-              (0, np.uint64(2**64 - 1), "t="), (1, np.int64(70000), "x="),
-              (3, np.int8(-128), "polarity"), (0, np.float64(1), "not four integers"),
-              (0, 1.0, "not four integers"), (3, True, "not four integers")]
 
 
 class TestEventRows:
-    @pytest.mark.parametrize("rows", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+    @pytest.mark.parametrize("events", BAD_EVENTS.values(), ids=BAD_EVENTS.keys())
     @pytest.mark.parametrize("call", [
-        as_event_array,
-        lambda rows: accumulate_frame(rows, SensorGeometry(8, 8)),
-        lambda rows: window_events(rows, [10]),
-    ], ids=["as_event_array", "accumulate_frame", "window_events"])
-    def test_bad_rows_rejected(self, call, rows):
-        with pytest.raises(ValidationError):
-            call(rows)
-
-    @given(rows=VALID_ROWS, numpy_ints=st.booleans())
-    @settings(max_examples=100, deadline=None)
-    def test_valid_rows_kept_exactly(self, rows, numpy_ints):
-        if numpy_ints:  # numpy integers are integers too
-            rows = [(np.uint64(t), np.uint16(x), np.int32(y), np.int8(p)) for t, x, y, p in rows]
-        ev = as_event_array(rows)
-        assert ev.dtype == EVENT_DTYPE
-        assert ev.tolist() == [tuple(int(v) for v in row) for row in rows]
-
-    @given(rows=VALID_ROWS.filter(bool), bad=st.sampled_from(BAD_VALUES), numpy_ints=st.booleans(),
-           data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_first_bad_row_named(self, rows, bad, numpy_ints, data):
-        if numpy_ints:
-            rows = [(np.uint64(t), np.uint16(x), np.int32(y), np.int8(p)) for t, x, y, p in rows]
-        k = data.draw(st.integers(0, len(rows) - 1))
-        field, value, what = bad
-        row = list(rows[k])
-        row[field] = value
-        rows = [*rows[:k], tuple(row), *rows[k + 1:], tuple(row)]  # and a later one
-        with pytest.raises(ValidationError, match=f"{re.escape(what)}.* at event {k}$"):
-            as_event_array(rows)
+        lambda events, tmp: accumulate_frame(events, SensorGeometry(8, 8)),
+        lambda events, tmp: window_events(events, [10]),
+        lambda events, tmp: bin_events(events, [10], SensorGeometry(8, 8)),
+        lambda events, tmp: write_events(events, SensorGeometry(8, 8), tmp / "e.evt"),
+        lambda events, tmp: write_dataset(tmp / "ds", events, SensorGeometry(8, 8), [], []),
+    ], ids=["accumulate_frame", "window_events", "bin_events", "write_events", "write_dataset"])
+    def test_bad_rows_rejected(self, tmp_path, call, events):
+        with pytest.raises(ValidationError, match="^events must be a 1-D array of EVENT_DTYPE"):
+            call(events, tmp_path)
 
     def test_record_check_names_first_bad_record(self):
         # Record 1 lies outside the sensor and record 2 has polarity 0: the
@@ -173,7 +146,7 @@ class TestAccumulateFrame:
     GEOM = SensorGeometry(32, 32)
 
     def test_polarity_compression(self):
-        ev = as_event_array([Event(0, 3, 4, 1), Event(1, 3, 4, -1)])
+        ev = np.array([(0, 3, 4, 1), (1, 3, 4, -1)], EVENT_DTYPE)
         frame = accumulate_frame(ev, SensorGeometry(8, 8))
         assert frame.sum() == 1 and frame[4, 3] == 1
 
@@ -192,14 +165,14 @@ class TestAccumulateFrame:
         assert int(frame.sum()) == len(distinct)
 
     def test_out_of_bounds_rejected(self):
-        ev = as_event_array([Event(0, 40, 2, 1)])
+        ev = np.array([(0, 40, 2, 1)], EVENT_DTYPE)
         with pytest.raises(ValidationError, match="event 0"):
             accumulate_frame(ev, self.GEOM)
 
     def test_pixel_index_past_u16(self):
         # y * width exceeds 65535 from row 190 of a 346x260 sensor.
         geometry = SensorGeometry(346, 260)
-        ev = as_event_array([Event(0, 5, 189, 1), Event(1, 0, 190, 1), Event(2, 345, 259, -1)])
+        ev = np.array([(0, 5, 189, 1), (1, 0, 190, 1), (2, 345, 259, -1)], EVENT_DTYPE)
         frame = accumulate_frame(ev, geometry)
         assert frame.sum() == 3 and frame[189, 5] == frame[190, 0] == frame[259, 345] == 1
         assert np.array_equal(bin_events(ev, [2], geometry), frame[None])
@@ -227,7 +200,7 @@ def scanned_stack(events, mask_timestamps, geometry):
     goes to window k when t_{k-1} < t <= t_k, with t_{-1} = -1."""
     edges = [-1, *mask_timestamps]
     stack = np.zeros((len(mask_timestamps), geometry.height, geometry.width), np.uint8)
-    for t, x, y, _ in as_event_array(events).tolist():
+    for t, x, y, _ in events.tolist():
         for k in range(len(mask_timestamps)):
             if edges[k] < t <= edges[k + 1]:
                 stack[k, y, x] = 1

@@ -8,7 +8,7 @@ from oms import (
     SensorGeometry,
     scene_br,
 )
-from oms.synthetic import generate_scene, render_frames
+from oms.synthetic import _render_frames, generate_scene
 
 GEOM = SensorGeometry(64, 48)
 
@@ -31,7 +31,7 @@ class TestGenerateScene:
     def test_static_camera_events_within_consecutive_footprints(self):
         config = small_scene(camera_velocity=(0.0, 0.0))
         events, masks, ts = generate_scene(config)
-        _, footprints = render_frames(config)
+        _, footprints = _render_frames(config)
         for k, t in enumerate(ts, start=1):
             sel = events[events["t"] == t]
             union = footprints[k] | footprints[k - 1]
@@ -41,7 +41,7 @@ class TestGenerateScene:
         # Oracle: pixels whose texture value differs after the shift.
         config = small_scene(objects=(), camera_velocity=(1.0, 0.0))
         events, masks, ts = generate_scene(config)
-        frames, _ = render_frames(config)
+        frames, _ = _render_frames(config)
         for k, t in enumerate(ts, start=1):
             expected = int(np.count_nonzero(frames[k] != frames[k - 1]))
             assert int((events["t"] == t).sum()) == expected
