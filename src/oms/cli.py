@@ -34,7 +34,7 @@ from .dataset_io import (
     write_dataset,
     write_mask,
 )
-from .engine import OmsParams, _sequence_kernels, oms_frame
+from .engine import OmsParams, _segment
 from .errors import OmsError, ParseError, ValidationError, _json
 from .events import _frames
 from .kernels import kernel_to_text, make_feathered_kernel
@@ -111,17 +111,16 @@ def resolve_params(config_doc: dict, **flags) -> OmsParams:
 def open_frames(manifest_path, lap):
     """(manifest, frames), where frames yields the dataset's binary frames (one
     reused buffer) a window at a time as it reads, checks and bins the native
-    event file. lap (of _laps) charges the manifest, the event file's header
-    and each read to "load", the binning to "bin". The header is checked at
-    once; a bad event raises, when the frames reach it, a ParseError that
-    starts with the event file's path."""
+    event file. lap (of _laps) charges the manifest, the event file's header,
+    the frame's allocation and each read to "load", the binning to "bin". The
+    header is checked at once; a bad event raises, when the frames reach it, a
+    ParseError that starts with the event file's path."""
     manifest = DatasetManifest.load(manifest_path)
     event_path, _ = manifest.resolve(Path(manifest_path).parent)
     chunks = _event_chunks(event_path, dataset_io._CHUNK)
     header = next(chunks)  # opens the file, checks its header now, before `oms run` touches --out
     # A header inside the manifest's geometry: the reader's record check bounds every event.
     bounds = not all(map(int.__le__, header, manifest.geometry))
-    lap("load")
     ts = np.array(manifest.mask_timestamps, dtype=np.int64)  # checked by the manifest
 
     def reads():
@@ -140,6 +139,7 @@ def open_frames(manifest_path, lap):
             raise ParseError(f"{event_path}: {exc}") from exc
 
     binned = _frames(reads(), ts, manifest.geometry, bounds=bounds)  # allocates the frame now
+    lap("load")
     return manifest, frames(binned)
 
 
@@ -192,6 +192,8 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
             pass
         gts = _read_masks(manifest, manifest_path)  # read again, decoded, as each frame is scored
         lap("load")
+    scored = _segment(frames, manifest.geometry.shape, params)  # the kernels, before --out
+    lap("score")  # the kernel build counts in timings_ms, not in score_ms[0]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / RUN_MANIFEST_NAME).unlink(missing_ok=True)  # written last: marks a complete run
@@ -205,17 +207,14 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
     lap(None)
     preds = []  # written _WRITE_GROUP at a time, so that the scorer's buffers stay in cache
     diagnostics = []
-    for i, frame in enumerate(frames):
-        if i == 0:  # once the first window is binned, as a sequence's kernels
-            center, surround = _sequence_kernels(frame.shape, params)
-            lap("score")  # the kernel build counts in timings_ms, not in score_ms[0]
-        preds.append(oms_frame(frame, params, center, surround))
+    for i, (frame, pred) in enumerate(scored):
+        preds.append(pred)
         diagnostics.append({"score_ms": round(lap("score"), 3)})
         if overlays:
-            _write_overlay(out / OVERLAY_PATTERN.format(i), frame, next(gts), preds[-1])
+            _write_overlay(out / OVERLAY_PATTERN.format(i), frame, next(gts), pred)
         if len(preds) == _WRITE_GROUP or i == n - 1:
-            for j, pred in enumerate(preds, i + 1 - len(preds)):
-                write_mask(pred, out / PRED_PATTERN.format(j))
+            for j, mask in enumerate(preds, i + 1 - len(preds)):
+                write_mask(mask, out / PRED_PATTERN.format(j))
             preds.clear()
         lap("write")
     run_doc = {

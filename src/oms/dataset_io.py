@@ -53,11 +53,17 @@ FORMAT_VERSION = 1
 def write_events(events: np.ndarray, geometry: SensorGeometry, path) -> None:
     """Write the native binary event format (checks order and records first)."""
     geometry = _as_geometry(geometry)
+    ev = _checked_events(events, geometry)
+    header = MAGIC + struct.pack("<HH", geometry.width, geometry.height) + b"\x00" * 8
+    _write_file(path, header, np.ascontiguousarray(ev))  # no copy of the records
+
+
+def _checked_events(events, geometry: SensorGeometry) -> np.ndarray:
+    """events, once they are EVENT_DTYPE records in time order inside geometry."""
     ev = _as_events(events)
     _check_order(ev)
     _check_records(ev, geometry)
-    header = MAGIC + struct.pack("<HH", geometry.width, geometry.height) + b"\x00" * 8
-    _write_file(path, header, np.ascontiguousarray(ev))  # no copy of the records
+    return ev
 
 
 def _write_file(path, *data) -> None:
@@ -237,19 +243,23 @@ def write_dataset(
     timestamps: Sequence[int],
     source: str = "native",
 ) -> Path:
-    """Write events + masks + manifest into out_dir; returns the manifest path."""
+    """Check every input, then write events + masks + manifest into out_dir;
+    returns the manifest path."""
     if len(masks) != len(timestamps):
         raise ValidationError(f"{len(masks)} masks but {len(timestamps)} timestamps")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mask_dir = out_dir / "masks"
-    mask_dir.mkdir(exist_ok=True)
-    write_events(events, geometry, out_dir / "events.evt")
-    for i, mask in enumerate(masks):
-        write_mask(mask, mask_dir / mask_filename(i))
     manifest = DatasetManifest(geometry=geometry, event_file="events.evt", mask_dir="masks",
                                mask_timestamps=tuple(timestamps), source=source)
-    manifest_path = out_dir / "manifest.json"
+    _checked_events(events, manifest.geometry)
+    for i, mask in enumerate(masks):
+        shape = _array(ValidationError, f"mask {i}", mask).shape
+        if shape != manifest.geometry.shape:
+            raise ValidationError(f"mask {i} has shape {shape}, expected {manifest.geometry.shape}")
+    mask_dir = Path(out_dir) / "masks"
+    mask_dir.mkdir(parents=True, exist_ok=True)  # and out_dir
+    write_events(events, geometry, mask_dir.parent / "events.evt")
+    for i, mask in enumerate(masks):
+        write_mask(mask, mask_dir / mask_filename(i))
+    manifest_path = mask_dir.parent / "manifest.json"
     manifest.save(manifest_path)
     return manifest_path
 
@@ -265,14 +275,6 @@ def _read_masks(manifest: DatasetManifest, manifest_path, read=read_mask):
     mask_dir = _path_prefix(manifest.resolve(Path(manifest_path).parent)[1])
     return (read(mask_dir + mask_filename(i), manifest.geometry)
             for i in range(len(manifest.mask_timestamps)))
-
-
-def load_dataset(manifest_path):
-    """Load (manifest, events, masks) referenced by a manifest file."""
-    manifest_path = Path(manifest_path)
-    manifest = DatasetManifest.load(manifest_path)
-    event_path, _ = manifest.resolve(manifest_path.parent)
-    return manifest, read_events(event_path), list(_read_masks(manifest, manifest_path))
 
 
 # --- external dataset importers ---------------------------------------------

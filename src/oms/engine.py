@@ -48,7 +48,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -320,18 +320,16 @@ def oms_sequence(
     for i, f in enumerate(frames):
         if f.shape != shape:
             raise ValidationError(f"frame {i} has shape {f.shape}, expected {shape}")
-    center, surround = _sequence_kernels(shape, params)
-    return [oms_frame(f, params, center, surround) for f in frames]
+    return [mask for _, mask in _segment(frames, shape, params)]
 
 
-def _sequence_kernels(shape: tuple[int, ...], params: OmsParams) -> tuple[Kernel, Kernel]:
-    """_kernels_for(shape, params) for a sequence of frames, logging a WARNING
-    when alpha is at least sum(max(D, 0)), so no pixel can spike."""
+def _segment(frames: Iterable[np.ndarray], shape: tuple[int, ...], params: OmsParams):
+    """(frame, oms_frame(frame)) for each of frames, lazily; the kernels are built for
+    shape, fitted to it and checked against alpha (oms_sequence's WARNING) by this call."""
     center, surround = _kernels_for(shape, params)
     d = difference_kernel(center, surround)
     bound = float(d[d > 0].sum())
     if params.alpha >= bound:
         log.warning("alpha %g >= %.6g, the largest score a binary frame can reach: "
                     "no pixel can spike", params.alpha, bound)
-    return center, surround
-
+    return ((f, oms_frame(f, params, center, surround)) for f in frames)

@@ -15,13 +15,13 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oms import cli
+from oms import cli, engine
 from oms.cli import main
 from oms.dataset_io import (
     DatasetManifest, ParseError, _write_pgm, import_evimo, mask_filename, read_events, read_mask,
     write_dataset,
 )
-from oms.engine import _sequence_kernels, oms_frame
+from oms.engine import OmsParams, oms_frame
 from oms.events import accumulate_frame, window_events
 from oms.synthetic import SceneConfig, SceneObject, generate_scene
 from oms.events import EVENT_DTYPE, SensorGeometry
@@ -146,7 +146,7 @@ class TestRun:
             return oms_frame(*args)
 
         manifest_path, n = dataset
-        monkeypatch.setattr(cli, "oms_frame", slow_third)
+        monkeypatch.setattr(engine, "oms_frame", slow_third)
         out = tmp_path / "run"
         result = run_cli("run", "--manifest", manifest_path, "--out", out, "--alpha", 0.13)
         assert result.exit_code == 0, result.output
@@ -157,12 +157,14 @@ class TestRun:
     def test_kernel_build_not_in_score_ms(self, dataset, tmp_path, monkeypatch):
         # The kernels are built once, before frame 0's call: their time counts
         # in timings_ms.score but not in score_ms[0].
-        def slow_kernels(*args):
+        make_kernels = OmsParams.make_kernels
+
+        def slow_kernels(params):
             time.sleep(0.03)
-            return _sequence_kernels(*args)
+            return make_kernels(params)
 
         manifest_path, _ = dataset
-        monkeypatch.setattr(cli, "_sequence_kernels", slow_kernels)
+        monkeypatch.setattr(OmsParams, "make_kernels", slow_kernels)
         out = tmp_path / "run"
         result = run_cli("run", "--manifest", manifest_path, "--out", out)
         assert result.exit_code == 0, result.output
@@ -398,13 +400,31 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_kernel_too_large_leaves_earlier_run(self, dataset, tmp_path):
+        # The kernels are built and fitted to the manifest's geometry before
+        # --out is touched: a complete earlier run, overlays included, keeps
+        # every file byte for byte, and a missing --out is not made.
+        manifest_path, n = dataset
+        out = tmp_path / "run"
+        result = run_cli("run", "--manifest", manifest_path, "--out", out, "--alpha", 0.13,
+                         "--emit-overlays")
+        assert result.exit_code == 0, result.output
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == 2 * n + 1 and "run.json" in before
+        for target in (out, tmp_path / "missing"):
+            result = run_cli("run", "--manifest", manifest_path, "--out", target, "--r2", 40)
+            assert result.exit_code == 2, result.output
+            assert result.output == "error: 80x80 kernel does not fit a 48x64 frame\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not (tmp_path / "missing").exists()
+
     def test_internal_error_exit_1(self, dataset, tmp_path, monkeypatch):
         # An error that is not the package's, the file system's or memory's
         # is an internal one: exit 1, and no run.json marks the run complete.
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "oms_frame", boom)
+        monkeypatch.setattr(engine, "oms_frame", boom)
         out = tmp_path / "run"
         result = run_cli("run", "--manifest", dataset[0], "--out", out)
         assert result.exit_code == 1, result.output
@@ -780,7 +800,7 @@ UNREADABLE_INPUTS = {
         ["run", "--manifest", dataset_copy(m, tmp / "ds"), "--out", tmp / "o"],
         reversed_events(tmp / "ds" / "manifest.json")),
     "event outside the manifest geometry": lambda m, preds, tmp: (
-        ["run", "--manifest", with_geometry(dataset_copy(m, tmp / "ds"), 2, 8), "--out",
+        ["run", "--manifest", with_geometry(dataset_copy(m, tmp / "ds"), 8, 8), "--out",
          tmp / "o"], tmp / "ds" / "events.evt"),
     "run --out is a file": lambda m, preds, tmp: (
         ["run", "--manifest", m, "--out", tmp / "o"], non_utf8_file(tmp / "o")),

@@ -20,7 +20,6 @@ from oms.dataset_io import (
     _write_file,
     import_evimo,
     import_mod,
-    load_dataset,
     mask_filename,
     read_events,
     read_mask,
@@ -39,6 +38,15 @@ def random_events(rng, n, geom=GEOM):
     ev["y"] = rng.integers(0, geom.height, n)
     ev["p"] = rng.choice([-1, 1], n)
     return ev
+
+
+def read_dataset(manifest_path):
+    """(manifest, events, masks) of a dataset on disk, by the public readers."""
+    manifest = DatasetManifest.load(manifest_path)
+    event_path, mask_dir = manifest.resolve(manifest_path.parent)
+    masks = [read_mask(mask_dir / mask_filename(i), manifest.geometry)
+             for i in range(len(manifest.mask_timestamps))]
+    return manifest, read_events(event_path), masks
 
 
 class TestEventFiles:
@@ -369,7 +377,7 @@ class TestManifest:
         ev = random_events(rng, 500)
         masks = [(rng.random((48, 64)) < 0.2).astype(np.uint8) for _ in range(3)]
         manifest_path = write_dataset(tmp_path / "ds", ev, GEOM, masks, [10, 20, 30])
-        manifest, events, loaded = load_dataset(manifest_path)
+        manifest, events, loaded = read_dataset(manifest_path)
         assert manifest.mask_timestamps == (10, 20, 30)
         assert np.array_equal(events, ev)
         assert all(np.array_equal(a, b) for a, b in zip(masks, loaded))
@@ -378,13 +386,37 @@ class TestManifest:
         # json.dumps refused the numpy ints after the events and masks were written.
         geometry = SensorGeometry(np.int64(8), np.int32(6))
         manifest_path = write_dataset(tmp_path / "ds", np.empty(0, EVENT_DTYPE), geometry, [np.zeros((6, 8))], [1])
-        manifest, events, masks = load_dataset(manifest_path)
+        manifest, events, masks = read_dataset(manifest_path)
         assert manifest.geometry == (8, 6) and len(events) == 0 and masks[0].shape == (6, 8)
         assert json.loads(manifest_path.read_text())["geometry"] == {"width": 8, "height": 6}
 
     def test_dataset_length_mismatch(self, tmp_path):
         with pytest.raises(ValidationError, match="^2 masks but 1 timestamps$"):
             write_dataset(tmp_path / "ds", np.empty(0, EVENT_DTYPE), GEOM, [np.zeros((48, 64))] * 2, [1])
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("events, geometry, masks, timestamps, message", [
+        ([(1, 2, 3, 1)], GEOM, [np.zeros((48, 64))], [1],
+         "^events must be a 1-D array of EVENT_DTYPE records, got list$"),
+        (np.array([(1, 64, 3, 1)], EVENT_DTYPE), GEOM, [np.zeros((48, 64))], [1],
+         r"^\(x=64, y=3\) outside 64x48 sensor at event 0$"),
+        (np.array([(2, 1, 1, 1), (1, 1, 1, 1)], EVENT_DTYPE), GEOM, [np.zeros((48, 64))], [1],
+         "^event stream unsorted: t decreases at index 1$"),
+        (np.empty(0, EVENT_DTYPE), (8, 8), [np.zeros((5, 7))], [1],
+         r"^mask 0 has shape \(5, 7\), expected \(8, 8\)$"),
+        (np.empty(0, EVENT_DTYPE), GEOM, [np.zeros((48, 64)), np.zeros(64)], [1, 2],
+         r"^mask 1 has shape \(64,\), expected \(48, 64\)$"),
+        (np.empty(0, EVENT_DTYPE), GEOM, [np.zeros((48, 64))] * 2, [2, 1],
+         "^mask timestamps must be strictly increasing$"),
+        (np.empty(0, EVENT_DTYPE), (0, 48), [np.zeros((48, 0))], [1],
+         r"^width must be an integer in \[1, 65535\], got 0$"),
+    ], ids=["tuples", "event outside", "unsorted", "mask shape", "mask not 2-D",
+            "timestamps", "geometry"])
+    def test_refused_dataset_makes_nothing(self, tmp_path, events, geometry, masks, timestamps,
+                                           message):
+        # Every input is checked before the first directory is made.
+        with pytest.raises(ValidationError, match=message):
+            write_dataset(tmp_path / "ds", events, geometry, masks, timestamps)
         assert not (tmp_path / "ds").exists()
 
 
@@ -415,7 +447,7 @@ class TestImporters:
         assert manifest.source == "evimo"
         assert len(manifest.mask_timestamps) == 3
         assert manifest.mask_timestamps == (100_000, 200_000, 300_000)
-        _, events, masks = load_dataset(tmp_path / "native" / "manifest.json")
+        _, events, masks = read_dataset(tmp_path / "native" / "manifest.json")
         assert len(events) == 200 and len(masks) == 3
         assert (np.diff(events["t"].astype(np.int64)) >= 0).all()
 
@@ -566,7 +598,7 @@ class TestImporters:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt: "input contained no data"
             manifest = importer(src, tmp_path / "native")
-        _, events, masks = load_dataset(tmp_path / "native" / "manifest.json")
+        _, events, masks = read_dataset(tmp_path / "native" / "manifest.json")
         assert len(events) == 0 and len(masks) == 3 and manifest.source == layout
 
     def test_import_evimo_empty_files_warn_nothing(self, tmp_path, rng):
