@@ -15,17 +15,19 @@ Two filtering modes are provided:
   once per kernel pair and frame width (7 values for 52 taps at the defaults).
   The frame is padded once into a flat uint8 buffer with rows of w + n - 1,
   where tap (dy, dx) is the offset dy * (w + n - 1) + dx, so each group's
-  integer count c_g is a sum of contiguous slices. The float step casts each
-  count to float64, scales it by v_g and adds in ascending value order.
-  `oms_scores` runs it on the whole grid. `oms_frame` first sums the int16
-  score S = sum V_g c_g, V_g = round(v_g 2^k), k the largest with
-  sum |V_g| |g| <= 32767, so no partial sum overflows. As 0 <= c_g <= |g|,
-  |corr - S 2^-k| <= sum |v_g - V_g 2^-k| |g| < E, whose slack covers float64
-  rounding: |S| > ceil((alpha + E) 2^k) spikes, |S| < floor((alpha - E) 2^k)
-  does not, and only the band between runs the float step, on its gathered
-  counts. When alpha < E the band starts at 0, so it drops the positions
-  whose counts are all 0: they score exactly 0. Each mask is bitwise
-  oms_scores > alpha.
+  integer count c_g is a sum of contiguous slices. A tap whose mirror
+  (n - 1 - dy, dx) is in its group is read with it, as one slice of the uint8
+  sum of rows dy and n - 1 - dy (at the defaults, 4 row sums and 26 reads for
+  52 taps). The float step casts each count to float64, scales it by v_g and
+  adds in ascending value order. `oms_scores` runs it on the whole grid.
+  `oms_frame` first sums the int16 score S = sum V_g c_g, V_g = round(v_g 2^k),
+  k the largest with sum |V_g| |g| <= 32767, so no partial sum overflows. As
+  0 <= c_g <= |g|, |corr - S 2^-k| <= sum |v_g - V_g 2^-k| |g| < E, whose
+  slack covers float64 rounding: |S| > ceil((alpha + E) 2^k) spikes,
+  |S| < floor((alpha - E) 2^k) does not, and only the band between runs the
+  float step, on its gathered counts. When alpha < E the band starts at 0, so
+  it drops the positions whose counts are all 0: they score exactly 0. Each
+  mask is bitwise oms_scores > alpha.
 * strided: the dense score's valid region (positions R .. H - R, R the
   larger radius, where both windows lie inside the frame) sampled every s_s
   positions, so cell (i, j) is dense position (R + s_s*i, R + s_s*j).
@@ -173,11 +175,14 @@ def _lattice(r: int, s: int, h: int, w: int) -> tuple[slice, slice]:
 
 @functools.lru_cache(maxsize=16)
 def _tap_groups(r1: int, center: bytes, r2: int, surround: bytes, width: int):
-    """(((value, V, count dtype, flat offsets), ...), k, E): the nonzero taps
-    of D grouped by exact value, ascending, with tap (dy, dx) at dy * (width +
-    n - 1) + dx in the flat padded frame; V = round(value * 2^k) as int16 for
-    the largest k with sum(|V| * taps) <= 32767, and E bounds the error of
-    the int16 score (module docstring). Cached per (kernels, frame width)."""
+    """(((value, V, count dtype), ...), k, E, reads): D's nonzero taps grouped
+    by exact value, ascending; V = round(value * 2^k) as int16 for the largest
+    k with sum(|V| * taps) <= 32767, and E bounds the error of the int16 score
+    (module docstring). Each of reads is (a, b, ((group, offset), ...)): a tap
+    (dy, dx) whose mirror (n - 1 - dy, dx) is in its group reads both at offset
+    dx of the padded frame's rows at flat offsets a = dy * (width + n - 1) and
+    b summed; a is None for the other taps, each read at its own offset
+    dy * (width + n - 1) + dx. Cached per (kernels, frame width)."""
     d = difference_kernel(
         Kernel(r1, 0.0, np.frombuffer(center).reshape(2 * r1, 2 * r1)),
         Kernel(r2, 0.0, np.frombuffer(surround).reshape(2 * r2, 2 * r2)),
@@ -186,16 +191,20 @@ def _tap_groups(r1: int, center: bytes, r2: int, surround: bytes, width: int):
         raise ValidationError("kernel weights must be finite")
     ys, xs = np.nonzero(d if d.any() else np.ones_like(d))  # D == 0: one zero group
     values, group = np.unique(d[ys, xs], return_inverse=True)
-    offsets = ys * (width + d.shape[0] - 1) + xs
-    taps = [tuple(offsets[group == g].tolist()) for g in range(len(values))]
-    sizes = np.array([len(t) for t in taps])
+    sizes = np.bincount(group)
     k = next(k for k in range(62, -64, -1) if np.abs(np.round(values * 2.0**k)) @ sizes <= 32767)
     ints = np.round(values * 2.0**k)
     err = np.abs(values - ints / 2.0**k) @ sizes + 1e-12 * (1 + np.abs(values) @ sizes)
     # each tap adds at most 1, so a count never exceeds its group's size
-    groups = tuple((v, np.int16(q), np.min_scalar_type(len(t)), t)
-                   for v, q, t in zip(values.tolist(), ints.tolist(), taps))
-    return groups, k, err
+    groups = tuple((v, np.int16(q), np.min_scalar_type(size))
+                   for v, q, size in zip(values.tolist(), ints.tolist(), sizes.tolist()))
+    n, pw = d.shape[0], width + d.shape[0] - 1
+    mirrored = d[n - 1 - ys, xs] == d[ys, xs]  # equal values: the mirror is a tap of the group
+    plan = [(None, None, ~mirrored, ys * pw + xs)] + [
+        (y * pw, (n - 1 - y) * pw, mirrored & (ys == y), xs) for y in range(n // 2)]
+    reads = tuple((a, b, tuple(zip(group[at].tolist(), o[at].tolist())))
+                  for a, b, at, o in plan if at.any())
+    return groups, k, err, reads
 
 
 def _tap_counts(frame: np.ndarray, center: Kernel, surround: Kernel):
@@ -204,7 +213,7 @@ def _tap_counts(frame: np.ndarray, center: Kernel, surround: Kernel):
     h, w = frame.shape
     n = 2 * max(center.radius, surround.radius)
     _check_fits(n, frame.shape)
-    groups, k, err = _tap_groups(
+    groups, k, err, reads = _tap_groups(
         center.radius, np.asarray(center.weights, np.float64).tobytes(),
         surround.radius, np.asarray(surround.weights, np.float64).tobytes(), w,
     )
@@ -212,12 +221,15 @@ def _tap_counts(frame: np.ndarray, center: Kernel, surround: Kernel):
     # One spare row: taps of the cropped columns x >= w read past the last row.
     padded = np.zeros((h + n) * pw, np.uint8)
     padded.reshape(h + n, pw)[r:r + h, r:r + w] = frame
-    size, counts = h * pw, []
-    for *_, dtype, taps in groups:
-        count = padded[taps[0]:taps[0] + size].astype(dtype)
-        for o in taps[1:]:
-            count += padded[o:o + size]
-        counts.append(count)
+    size, span, counts = h * pw, h * pw + n - 1, [None] * len(groups)
+    pair = np.empty(span, np.uint8)  # one mirrored row pair's sum at a time
+    for a, b, taps in reads:
+        src = padded if a is None else np.add(padded[a:a + span], padded[b:b + span], out=pair)
+        for g, o in taps:
+            if counts[g] is None:
+                counts[g] = src[o:o + size].astype(groups[g][2])
+            else:
+                counts[g] += src[o:o + size]
     return groups, k, err, counts
 
 
@@ -276,8 +288,9 @@ def oms_frame(
     h, w = frame.shape
     groups, k, err, counts = _tap_counts(frame, center, surround)
     # The dense mask: |S| decides outside [lo, hi], the float step inside.
-    score, scaled = np.zeros((2, counts[0].size), np.int16)
-    for (_, q, _, _), count in zip(groups, counts):  # k keeps every partial sum in int16
+    score, scaled = counts[0].astype(np.int16), np.empty(counts[0].size, np.int16)
+    score *= groups[0][1]
+    for (_, q, _), count in zip(groups[1:], counts[1:]):  # k keeps every partial sum in int16
         scaled[:] = count
         scaled *= q
         score += scaled

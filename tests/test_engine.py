@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oms import engine
@@ -439,6 +439,76 @@ class TestInt16Band:
             support = np.count_nonzero(sum(c.astype(np.int64) for c in counts))
             assert n <= support < 0.2 * counts[0].size
             assert np.array_equal(mask, oms_scores(frame, params) > 0)
+
+
+def per_tap_counts(frame, center, surround):
+    """Each tap-value group's count as one shifted slice per tap, on the flat
+    (h, w + n - 1) grid, in the dtype that holds the group's number of taps."""
+    d = difference_kernel(center, surround)
+    n, (h, w) = d.shape[0], frame.shape
+    padded = np.zeros((h + n, w + n - 1), np.int64)
+    padded[n // 2:n // 2 + h, n // 2:n // 2 + w] = frame
+    flat, size = padded.ravel(), h * (w + n - 1)
+    ys, xs = np.nonzero(d if d.any() else np.ones_like(d))
+    counts = []
+    for value in np.unique(d[ys, xs]):
+        taps = [(y, x) for y, x in zip(ys, xs) if d[y, x] == value]
+        total = sum(flat[y * (w + n - 1) + x:][:size] for y, x in taps)
+        counts.append(total.astype(np.min_scalar_type(len(taps))))
+    return counts
+
+
+FLAT_SURROUND = Kernel(radius=10, sigma=1.0, weights=np.full((20, 20), 1 / 400))
+
+
+@st.composite
+def tap_cases(draw):
+    """(center, surround, frame): kernels whose weights come from a small value
+    set (so tap groups mix taps with and without a row mirror in the group),
+    a feathered pair, or a feathered center in the flat 20x20 surround."""
+    kind = draw(st.sampled_from(["asymmetric", "feathered", "flat"]))
+    if kind == "asymmetric":
+        r1, r2 = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        center, surround = (
+            Kernel(r, 0.0, np.array(draw(st.lists(st.sampled_from([0.0, 0.01, 0.02, 0.05]),
+                                                  min_size=4 * r * r, max_size=4 * r * r)))
+                   .reshape(2 * r, 2 * r))
+            for r in (r1, r2))
+    elif kind == "feathered":
+        r1 = draw(st.integers(1, 3))
+        center = make_feathered_kernel(r1, draw(st.floats(0.3, 3.0)))
+        surround = make_feathered_kernel(draw(st.integers(r1 + 1, 5)), draw(st.floats(0.3, 3.0)))
+    else:
+        center, surround = make_feathered_kernel(2, 1.0), FLAT_SURROUND
+    n = 2 * max(center.radius, surround.radius)
+    shape = (draw(st.integers(n, n + 4)), draw(st.integers(n, n + 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.4, 0.9, 1.0]))
+    return center, surround, (rng.random(shape) < density).astype(np.uint8)
+
+
+class TestTapCounts:
+    """`_tap_counts` reads a tap and its row mirror in one group as one slice
+    of their rows' sum, and every other tap by itself; its counts must equal
+    a per-tap sum for any kernel, mirror-symmetric or not."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(tap_cases())
+    @example((make_feathered_kernel(2, 1.0), FLAT_SURROUND, np.ones((20, 24), np.uint8)))
+    def test_counts_match_per_tap_sum(self, case):
+        center, surround, frame = case
+        *_, counts = engine._tap_counts(frame, center, surround)
+        want = per_tap_counts(frame, center, surround)
+        assert [c.dtype for c in counts] == [c.dtype for c in want]
+        assert all(np.array_equal(c, t) for c, t in zip(counts, want, strict=True))
+        params = OmsParams()
+        scores = oms_scores(frame, params, center, surround)
+        assert np.max(np.abs(scores - reference_scores(frame, center, surround))) < 1e-12
+        level = float(np.sort(scores, axis=None)[scores.size // 2])  # a reached score
+        alphas = {0.0, 0.13, level, np.nextafter(level, -np.inf), np.nextafter(level, np.inf)}
+        for alpha in sorted(a for a in alphas if 0.0 <= a <= 1.0):
+            mask = oms_frame(frame, replace(params, alpha=alpha), center, surround)
+            assert np.array_equal(mask, scores > alpha)
 
 
 class TestBinaryFrameContract:
