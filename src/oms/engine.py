@@ -13,21 +13,24 @@ Two filtering modes are provided:
   is |corr(F, D)| for the single difference kernel D = surround - center
   (`kernels.difference_kernel`), whose taps are grouped by exact value v_g
   once per kernel pair and frame width (7 values for 52 taps at the defaults).
-  The frame is padded once into a flat uint8 buffer with rows of w + n - 1,
-  where tap (dy, dx) is the offset dy * (w + n - 1) + dx, so each group's
-  integer count c_g is a sum of contiguous slices. A tap whose mirror
+  One scorer (`_Scorer`) serves every entry point, and `oms run` builds one
+  per run: its workspace holds the frame, padded once into a flat uint8
+  buffer with rows of w + n - 1, where tap (dy, dx) is the offset
+  dy * (w + n - 1) + dx, so each group's integer count c_g, a row of one
+  (groups, N) block, is a sum of contiguous slices. A tap whose mirror
   (n - 1 - dy, dx) is in its group is read with it, as one slice of the uint8
-  sum of rows dy and n - 1 - dy (at the defaults, 4 row sums and 26 reads for
-  52 taps). The float step casts each count to float64, scales it by v_g and
-  adds in ascending value order. `oms_scores` runs it on the whole grid.
-  `oms_frame` first sums the int16 score S = sum V_g c_g, V_g = round(v_g 2^k),
-  k the largest with sum |V_g| |g| <= 32767, so no partial sum overflows. As
-  0 <= c_g <= |g|, |corr - S 2^-k| <= sum |v_g - V_g 2^-k| |g| < E, whose
-  slack covers float64 rounding: |S| > ceil((alpha + E) 2^k) spikes,
-  |S| < floor((alpha - E) 2^k) does not, and only the band between runs the
-  float step, on its gathered counts. When alpha < E the band starts at 0, so
-  it drops the positions whose counts are all 0: they score exactly 0. Each
-  mask is bitwise oms_scores > alpha.
+  sum of rows dy and n - 1 - dy, and a count starts as one add of its first
+  two reads (at the defaults, 4 row sums and 19 passes for 52 taps). The
+  float step casts each count to float64, scales it by v_g and adds in
+  ascending value order; `oms_scores` runs it on the whole grid. `oms_frame`
+  first takes the int16 score S = sum V_g c_g in one einsum, V_g = round(v_g
+  2^k), k the largest with sum |V_g| |g| <= 32767, so no partial sum
+  overflows. As 0 <= c_g <= |g|, |corr - S 2^-k| <= sum |v_g - V_g 2^-k| |g|
+  < E, whose slack covers float64 rounding: |S| > ceil((alpha + E) 2^k)
+  spikes, |S| < floor((alpha - E) 2^k) does not, and only the band between
+  runs the float step, on its counts gathered once. When alpha < E the band
+  starts at 0, so it drops the positions whose counts are all 0: they score
+  exactly 0. Each mask is bitwise oms_scores > alpha.
 * strided: the dense score's valid region (positions R .. H - R, R the
   larger radius, where both windows lie inside the frame) sampled every s_s
   positions, so cell (i, j) is dense position (R + s_s*i, R + s_s*j).
@@ -175,14 +178,14 @@ def _lattice(r: int, s: int, h: int, w: int) -> tuple[slice, slice]:
 
 @functools.lru_cache(maxsize=16)
 def _tap_groups(r1: int, center: bytes, r2: int, surround: bytes, width: int):
-    """(((value, V, count dtype), ...), k, E, reads): D's nonzero taps grouped
-    by exact value, ascending; V = round(value * 2^k) as int16 for the largest
-    k with sum(|V| * taps) <= 32767, and E bounds the error of the int16 score
-    (module docstring). Each of reads is (a, b, ((group, offset), ...)): a tap
-    (dy, dx) whose mirror (n - 1 - dy, dx) is in its group reads both at offset
-    dx of the padded frame's rows at flat offsets a = dy * (width + n - 1) and
-    b summed; a is None for the other taps, each read at its own offset
-    dy * (width + n - 1) + dx. Cached per (kernels, frame width)."""
+    """(values, V, k, E, reads, dtype): D's tap values, ascending, their int16 V and
+    k, E (module docstring) and the smallest type that holds the largest group's
+    count. Each of reads is (a, b, ((group, o, o2), ...)): flat offsets into the
+    padded frame (a None), or into the sum of its rows at a = dy * (width + n - 1)
+    and b, the mirror row's, where dx reads taps (dy, dx) and (n - 1 - dy, dx) of
+    one group at once. A group's count starts as its first read o plus o2, its
+    second from that source (None: 0); then o is None and o2 is added. Cached per
+    (kernels, frame width)."""
     d = difference_kernel(
         Kernel(r1, 0.0, np.frombuffer(center).reshape(2 * r1, 2 * r1)),
         Kernel(r2, 0.0, np.frombuffer(surround).reshape(2 * r2, 2 * r2)),
@@ -195,52 +198,108 @@ def _tap_groups(r1: int, center: bytes, r2: int, surround: bytes, width: int):
     k = next(k for k in range(62, -64, -1) if np.abs(np.round(values * 2.0**k)) @ sizes <= 32767)
     ints = np.round(values * 2.0**k)
     err = np.abs(values - ints / 2.0**k) @ sizes + 1e-12 * (1 + np.abs(values) @ sizes)
-    # each tap adds at most 1, so a count never exceeds its group's size
-    groups = tuple((v, np.int16(q), np.min_scalar_type(size))
-                   for v, q, size in zip(values.tolist(), ints.tolist(), sizes.tolist()))
     n, pw = d.shape[0], width + d.shape[0] - 1
     mirrored = d[n - 1 - ys, xs] == d[ys, xs]  # equal values: the mirror is a tap of the group
     plan = [(None, None, ~mirrored, ys * pw + xs)] + [
         (y * pw, (n - 1 - y) * pw, mirrored & (ys == y), xs) for y in range(n // 2)]
-    reads = tuple((a, b, tuple(zip(group[at].tolist(), o[at].tolist())))
-                  for a, b, at, o in plan if at.any())
-    return groups, k, err, reads
+    reads, started = [], set()
+    for a, b, at, o in plan:
+        taps = {g: o[at][group[at] == g].tolist() for g in dict.fromkeys(group[at].tolist())}
+        ops = [(g, *(offs + [None])[:2]) for g, offs in taps.items() if g not in started]
+        ops += [(g, None, x) for g, offs in taps.items() for x in offs[2 * (g not in started):]]
+        started.update(taps)
+        reads += [(a, b, tuple(ops))] if ops else []
+    dtype = np.min_scalar_type(int(sizes.max()))  # a tap adds at most 1 to its group's count
+    return tuple(values.tolist()), ints.astype(np.int16), k, err, tuple(reads), dtype
+
+
+class _Scorer:
+    """The dense scorer of one frame shape: `_tap_groups`' plan and a workspace
+    allocated by this call. It holds the padded frame, whose zero halo is
+    written once; the row-pair sum, which then holds the band and the mask; the
+    (groups, N) block of counts on the flat (h, w + n - 1) grid, padding
+    columns last; and the int16 score. MemoryError names the geometry and the
+    bytes."""
+
+    def __init__(self, shape: tuple[int, ...], center: Kernel, surround: Kernel):
+        (h, w), n = shape, 2 * max(center.radius, surround.radius)
+        _check_fits(n, shape)
+        self.values, self.ints, self.k, self.err, self.reads, dtype = _tap_groups(
+            center.radius, np.asarray(center.weights, np.float64).tobytes(),
+            surround.radius, np.asarray(surround.weights, np.float64).tobytes(), w,
+        )
+        self.shape, self.r, pw = shape, n // 2, w + n - 1
+        self.size, self.span = h * pw, h * pw + n - 1
+        nbytes = (h + n) * pw + self.span + self.size * (2 + len(self.values) * dtype.itemsize)
+        try:  # one spare row: taps of the cropped columns x >= w read past the last row
+            self.padded, self.pair = np.zeros((h + n) * pw, np.uint8), np.empty(self.span, np.uint8)
+            self.counts = np.empty((len(self.values), self.size), dtype)
+            self.score = np.empty(self.size, np.int16)
+        except MemoryError as exc:
+            raise MemoryError(f"the scorer's workspace for {w}x{h} frames ({nbytes} bytes) "
+                              f"cannot be allocated: {exc}") from None
+        self.interior = self.padded.reshape(h + n, pw)[self.r:self.r + h, self.r:self.r + w]
+
+    def count(self, frame: np.ndarray) -> np.ndarray:
+        """The workspace's block of frame's counts, one row per group."""
+        self.interior[...] = frame
+        padded, counts, size, span = self.padded, self.counts, self.size, self.span
+        for a, b, taps in self.reads:
+            src = padded if a is None else np.add(padded[a:a + span], padded[b:b + span], out=self.pair)
+            for g, o, o2 in taps:  # row g = read o (None: row g) + read o2 (None: 0)
+                np.add(counts[g] if o is None else src[o:o + size],
+                       0 if o2 is None else src[o2:o2 + size], out=counts[g])
+        return counts
+
+    def __call__(self, frame: np.ndarray, params: OmsParams) -> np.ndarray:
+        """oms_frame of a checked binary frame of this shape, in a fresh array."""
+        (h, w), counts = self.shape, self.count(frame)
+        # The dense mask: |S| decides outside [lo, hi], the float step inside. The cast
+        # is exact: k keeps each partial sum, and each c_g whose V_g != 0, in int16.
+        score = np.einsum("g,gn->n", self.ints, counts, out=self.score, dtype=np.int16,
+                          casting="unsafe")
+        hi = min(math.ceil((params.alpha + self.err) * 2.0**self.k), 32767)
+        lo = min(max(math.floor((params.alpha - self.err) * 2.0**self.k), 0), hi)
+        score = np.subtract(np.abs(score, out=score), lo, out=score)  # |S| - lo, in int16
+        bits = self.pair[:self.size].view(bool)  # the row-pair sum is spent: the band, then the mask
+        band = np.less_equal(score.view(np.uint16), hi - lo, out=bits)  # lo <= |S| <= hi
+        if lo == 0:  # alpha < E: a position whose counts are all 0 scores 0 and cannot spike
+            band &= counts.any(axis=0)
+        band = np.flatnonzero(band)
+        mask = np.greater(score, hi - lo, out=bits)  # |S| > hi
+        mask[band] = np.abs(_float_corr(self.values, counts, band)) > params.alpha
+        mask = mask.view(np.uint8).reshape(h, -1)[:, :w]
+        if params.mode == "dense":
+            return mask.copy()
+        r, s = self.r, params.s_s
+        cells = mask[_lattice(r, s, h, w)]
+        rows = np.minimum((np.arange(h - 2 * r + 1) + s // 2) // s, cells.shape[0] - 1)
+        cols = np.minimum((np.arange(w - 2 * r + 1) + s // 2) // s, cells.shape[1] - 1)
+        full = np.zeros((h, w), np.uint8)
+        full[_lattice(r, 1, h, w)] = cells[np.ix_(rows, cols)]
+        return full
+
+
+# The scorer of each live `_segment` run, by its kernels' ids and frame shape: the run
+# scores each frame in one oms_frame call, which takes the run's workspace from here.
+_RUNS: dict[tuple, _Scorer] = {}
 
 
 def _tap_counts(frame: np.ndarray, center: Kernel, surround: Kernel):
-    """(groups, k, E, counts): `_tap_groups` and each group's integer count
-    on the flat (h, w + n - 1) grid, padding columns last."""
-    h, w = frame.shape
-    n = 2 * max(center.radius, surround.radius)
-    _check_fits(n, frame.shape)
-    groups, k, err, reads = _tap_groups(
-        center.radius, np.asarray(center.weights, np.float64).tobytes(),
-        surround.radius, np.asarray(surround.weights, np.float64).tobytes(), w,
-    )
-    r, pw = n // 2, w + n - 1
-    # One spare row: taps of the cropped columns x >= w read past the last row.
-    padded = np.zeros((h + n) * pw, np.uint8)
-    padded.reshape(h + n, pw)[r:r + h, r:r + w] = frame
-    size, span, counts = h * pw, h * pw + n - 1, [None] * len(groups)
-    pair = np.empty(span, np.uint8)  # one mirrored row pair's sum at a time
-    for a, b, taps in reads:
-        src = padded if a is None else np.add(padded[a:a + span], padded[b:b + span], out=pair)
-        for g, o in taps:
-            if counts[g] is None:
-                counts[g] = src[o:o + size].astype(groups[g][2])
-            else:
-                counts[g] += src[o:o + size]
-    return groups, k, err, counts
+    """(values, k, E, counts): a one-frame `_Scorer`'s plan and block of counts."""
+    scorer = _Scorer(frame.shape, center, surround)
+    return scorer.values, scorer.k, scorer.err, scorer.count(frame)
 
 
-def _float_corr(groups, counts, at=slice(None)) -> np.ndarray:
-    """corr(F, D) in float64 at the flat positions `at` of the counts: each
-    count cast, scaled by its value and added in ascending value order."""
-    acc = counts[0][at].astype(np.float64)  # 0 + x is x up to the sign of a zero, which abs drops
-    acc *= groups[0][0]
+def _float_corr(values, counts, at=slice(None)) -> np.ndarray:
+    """corr(F, D) in float64 at the flat positions `at` of the counts, gathered
+    once: each count cast, scaled by its value and added in ascending value order."""
+    counts = counts[:, at]
+    acc = counts[0].astype(np.float64)  # 0 + x is x up to the sign of a zero, which abs drops
+    acc *= values[0]
     scaled = np.empty_like(acc)
-    for (value, *_), count in zip(groups[1:], counts[1:]):
-        scaled[:] = count[at]
+    for value, count in zip(values[1:], counts[1:]):
+        scaled[:] = count
         scaled *= value
         acc += scaled
     return acc
@@ -248,8 +307,8 @@ def _float_corr(groups, counts, at=slice(None)) -> np.ndarray:
 
 def _corr(frame: np.ndarray, center: Kernel, surround: Kernel) -> np.ndarray:
     """corr(F, D) in float64 on the frame's grid."""
-    groups, _, _, counts = _tap_counts(frame, center, surround)
-    return _float_corr(groups, counts).reshape(frame.shape[0], -1)[:, :frame.shape[1]]
+    values, _, _, counts = _tap_counts(frame, center, surround)
+    return _float_corr(values, counts).reshape(frame.shape[0], -1)[:, :frame.shape[1]]
 
 
 def oms_scores(
@@ -285,34 +344,8 @@ def oms_frame(
     the valid region takes its nearest lattice cell and the rest is 0."""
     frame = _check_binary_frame(frame)
     center, surround = _kernels_for(frame.shape, params, center, surround)
-    h, w = frame.shape
-    groups, k, err, counts = _tap_counts(frame, center, surround)
-    # The dense mask: |S| decides outside [lo, hi], the float step inside.
-    score, scaled = counts[0].astype(np.int16), np.empty(counts[0].size, np.int16)
-    score *= groups[0][1]
-    for (_, q, _), count in zip(groups[1:], counts[1:]):  # k keeps every partial sum in int16
-        scaled[:] = count
-        scaled *= q
-        score += scaled
-    hi = min(math.ceil((params.alpha + err) * 2.0**k), 32767)
-    lo = min(max(math.floor((params.alpha - err) * 2.0**k), 0), hi)
-    mask = np.abs(score, out=score) > hi
-    score -= lo  # lo <= |S| <= hi as one unsigned compare
-    band = score.view(np.uint16) <= hi - lo
-    if lo == 0:  # alpha < E: a position whose counts are all 0 scores 0 and cannot spike
-        band &= functools.reduce(np.logical_or, counts[1:], counts[0] != 0)
-    band = np.flatnonzero(band)
-    mask[band] = np.abs(_float_corr(groups, counts, band)) > params.alpha
-    mask = mask.view(np.uint8).reshape(h, -1)[:, :w]
-    if params.mode == "dense":
-        return mask.copy()
-    r, s = max(center.radius, surround.radius), params.s_s
-    cells = mask[_lattice(r, s, h, w)]
-    rows = np.minimum((np.arange(h - 2 * r + 1) + s // 2) // s, cells.shape[0] - 1)
-    cols = np.minimum((np.arange(w - 2 * r + 1) + s // 2) // s, cells.shape[1] - 1)
-    full = np.zeros((h, w), np.uint8)
-    full[_lattice(r, 1, h, w)] = cells[np.ix_(rows, cols)]
-    return full
+    scorer = _RUNS.get((id(center), id(surround), frame.shape))  # None outside a run
+    return (scorer or _Scorer(frame.shape, center, surround))(frame, params)
 
 
 def oms_sequence(
@@ -338,11 +371,21 @@ def oms_sequence(
 
 def _segment(frames: Iterable[np.ndarray], shape: tuple[int, ...], params: OmsParams):
     """(frame, oms_frame(frame)) for each of frames, lazily; the kernels are built for
-    shape, fitted to it and checked against alpha (oms_sequence's WARNING) by this call."""
+    shape, fitted to it and checked against alpha (oms_sequence's WARNING), and the
+    scorer's workspace is allocated, by this call."""
     center, surround = _kernels_for(shape, params)
     d = difference_kernel(center, surround)
     bound = float(d[d > 0].sum())
     if params.alpha >= bound:
         log.warning("alpha %g >= %.6g, the largest score a binary frame can reach: "
                     "no pixel can spike", params.alpha, bound)
-    return ((f, oms_frame(f, params, center, surround)) for f in frames)
+    scorer, key = _Scorer(shape, center, surround), (id(center), id(surround), tuple(shape))
+
+    def scored():
+        _RUNS[key] = scorer
+        try:
+            yield from ((f, oms_frame(f, params, center, surround)) for f in frames)
+        finally:
+            del _RUNS[key]
+
+    return scored()

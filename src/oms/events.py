@@ -67,9 +67,6 @@ def _decode_geometry(doc) -> SensorGeometry:
     return SensorGeometry(_json("geometry", doc)["width"], doc["height"]).validate()
 
 
-_POLARITIES = (-1, 1)
-
-
 def _as_events(events) -> np.ndarray:
     """events, once it is a 1-D array of EVENT_DTYPE records, the one in-memory
     event type; else ValidationError names what it was given."""
@@ -108,7 +105,7 @@ def _check_order(events: np.ndarray, start: int = 0, last: int = 0) -> np.ndarra
 def _check_records(events: np.ndarray, geometry: SensorGeometry | None = None,
                    where="event {}".format, polarity: bool = True) -> None:
     """The record check: ValidationError names where(i) of the first record
-    whose p is not in _POLARITIES (if polarity) or that lies outside the
+    whose p is not -1 or 1 (if polarity) or that lies outside the
     geometry (if given); bounds cost two max reductions until one fails."""
     x, y, p = events["x"], events["y"], events["p"]
     bad = polarity and np.abs(p) != 1  # abs(-128) wraps to -128 in int8: still bad
@@ -116,7 +113,7 @@ def _check_records(events: np.ndarray, geometry: SensorGeometry | None = None,
         bad = bad | (x >= geometry.width) | (y >= geometry.height)
     if bad is not False and bad.any():  # False: nothing checked; np.any(False) costs ~3 us
         i = int(np.argmax(bad))
-        if polarity and p[i] not in _POLARITIES:
+        if polarity and abs(int(p[i])) != 1:  # the rule that found it, on a Python int
             raise ValidationError(f"invalid polarity p={p[i]} at {where(i)}")
         raise ValidationError(f"(x={x[i]}, y={y[i]}) outside {geometry.width}x{geometry.height} "
                               f"sensor at {where(i)}")

@@ -400,6 +400,44 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_workspace_out_of_memory_leaves_earlier_run(self, dataset, tmp_path, monkeypatch):
+        # The frame (64x48 bytes) fits under the cap; the scorer's workspace,
+        # allocated by _segment before --out is touched, does not: exit 2 with
+        # its geometry and bytes, and a complete earlier run kept byte for byte.
+        manifest_path, n = dataset
+        out = tmp_path / "run"
+        assert run_cli("run", "--manifest", manifest_path, "--out", out).exit_code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == n + 1 and "run.json" in before
+
+        def capped(allocate):
+            def allocate_below(shape, dtype=float, *args, **kwargs):
+                if np.prod(shape) * np.dtype(dtype).itemsize > 2 * 64 * 48:
+                    raise MemoryError(f"Unable to allocate an array with shape {shape}")
+                return allocate(shape, dtype, *args, **kwargs)
+            return allocate_below
+
+        monkeypatch.setattr(np, "zeros", capped(np.zeros))
+        monkeypatch.setattr(np, "empty", capped(np.empty))
+        result = run_cli("run", "--manifest", manifest_path, "--out", out, "--alpha", 0.13)
+        assert result.exit_code == 2, result.output
+        # 8x8 kernels: rows of 64 + 7; 56 padded rows, 48 rows + 7 of row-pair
+        # sum, and per position 7 uint8 group counts and the int16 score.
+        nbytes = 56 * 71 + (48 * 71 + 7) + 48 * 71 * (7 + 2)
+        assert result.output == (f"error: the scorer's workspace for 64x48 frames ({nbytes} bytes) "
+                                 f"cannot be allocated: Unable to allocate an array with shape "
+                                 f"(7, {48 * 71})\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_timings_rounded_to_the_microsecond(self, dataset, tmp_path):
+        manifest_path, _ = dataset
+        out = tmp_path / "run"
+        assert run_cli("run", "--manifest", manifest_path, "--out", out).exit_code == 0
+        doc = json.loads((out / "run.json").read_text())
+        times = list(doc["timings_ms"].values()) + [d["score_ms"] for d in doc["diagnostics"]]
+        assert all(v == round(v, 3) for v in times)
+        assert any(v != round(v, 2) for v in times)  # not rounded coarser either
+
     def test_kernel_too_large_leaves_earlier_run(self, dataset, tmp_path):
         # The kernels are built and fitted to the manifest's geometry before
         # --out is touched: a complete earlier run, overlays included, keeps

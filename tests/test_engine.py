@@ -1,4 +1,5 @@
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -499,7 +500,7 @@ class TestTapCounts:
         center, surround, frame = case
         *_, counts = engine._tap_counts(frame, center, surround)
         want = per_tap_counts(frame, center, surround)
-        assert [c.dtype for c in counts] == [c.dtype for c in want]
+        assert counts.dtype == np.result_type(*want)  # one block: the largest group's type
         assert all(np.array_equal(c, t) for c, t in zip(counts, want, strict=True))
         params = OmsParams()
         scores = oms_scores(frame, params, center, surround)
@@ -509,6 +510,85 @@ class TestTapCounts:
         for alpha in sorted(a for a in alphas if 0.0 <= a <= 1.0):
             mask = oms_frame(frame, replace(params, alpha=alpha), center, surround)
             assert np.array_equal(mask, scores > alpha)
+
+
+def sequence_frames(draw, shape, radius):
+    """A few binary frames of one shape: all 0, all 1, a random density, or
+    random pixels only within `radius` of the border, where the padding counts."""
+    frames = []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(["zeros", "ones", "random", "border"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        frame = (rng.random(shape) < draw(st.floats(0.02, 0.95))).astype(np.uint8)
+        if kind == "border":
+            frame[radius:shape[0] - radius, radius:shape[1] - radius] = 0
+        frames.append({"zeros": 0 * frame, "ones": 0 * frame + 1}.get(kind, frame))
+    return frames
+
+
+class TestScorerWorkspace:
+    """One scorer, and one workspace, serves a whole run. Frame after frame
+    through it, each mask must equal a fresh oms_frame and oms_scores > alpha;
+    each count must equal a per-tap sum; the int16 score S must equal the
+    int64 sum of V_g c_g, within E of corr * 2^k; and the float step must run
+    on exactly the documented band."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tap_cases(), st.data())
+    def test_reused_workspace_matches_fresh(self, case, data):
+        center, surround, first = case
+        shape, n = first.shape, 2 * max(center.radius, surround.radius)
+        frames = [first] + sequence_frames(data.draw, shape, n // 2)
+        d = difference_kernel(center, surround)
+        values = np.unique(d[np.nonzero(d if d.any() else np.ones_like(d))])
+        params = OmsParams(alpha=data.draw(st.sampled_from([0.0, 1e-4, 0.13, 0.5])))
+        if data.draw(st.booleans()):  # alpha at a reached score, or next to it
+            level = float(data.draw(st.sampled_from(np.unique(oms_scores(
+                data.draw(st.sampled_from(frames)), params, center, surround)).tolist())))
+            alpha = data.draw(st.sampled_from(
+                [level, np.nextafter(level, -np.inf), np.nextafter(level, np.inf)]))
+            params = replace(params, alpha=min(max(alpha, 0.0), 1.0))
+        scorers, bands = [], []
+
+        class Counted(engine._Scorer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scorers.append(self)
+
+        def recording(groups, counts, at=slice(None)):
+            bands.append(np.asarray(at))
+            return float_corr(groups, counts, at)
+
+        float_corr = engine._float_corr
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_Scorer", Counted)
+            patch.setattr(engine, "_float_corr", recording)
+            patch.setattr(engine, "_kernels_for", lambda *args: (center, surround))  # a run's kernels
+            run = []
+            for frame, mask in engine._segment(frames, shape, params):
+                scorer = scorers[0]
+                want = per_tap_counts(frame, center, surround)
+                assert all(np.array_equal(c, t) for c, t in zip(scorer.counts, want, strict=True))
+                ints, k, err = scorer.ints.astype(np.int64), scorer.k, scorer.err
+                assert np.array_equal(ints, np.round(values * 2.0**k)) and np.abs(ints) @ [
+                    np.count_nonzero(d == v) for v in values] <= 32767
+                exact = ints @ np.array(want, np.int64)  # S in int64
+                corr = sum(v * c.astype(np.float64) for v, c in zip(values.tolist(), want))
+                assert np.all(np.abs(corr - exact * 2.0**-k) < err)
+                hi = min(math.ceil((params.alpha + err) * 2.0**k), 32767)
+                lo = min(max(math.floor((params.alpha - err) * 2.0**k), 0), hi)
+                assert np.array_equal(scorer.score.astype(np.int64) + lo, np.abs(exact))
+                band = (lo <= np.abs(exact)) & (np.abs(exact) <= hi)
+                if lo == 0:
+                    band &= np.any(want, axis=0)
+                assert np.array_equal(bands[-1], np.flatnonzero(band))
+                run.append(mask)
+            assert len(scorers) == 1 and len(bands) == len(frames)  # one workspace for the run
+            assert all(np.array_equal(a, b) for a, b in zip(run, oms_sequence(frames, params)))
+        for frame, mask in zip(frames, run, strict=True):
+            assert mask.dtype == np.uint8 and mask.shape == shape
+            assert np.array_equal(mask, oms_frame(frame, params, center, surround))
+            assert np.array_equal(mask, oms_scores(frame, params, center, surround) > params.alpha)
 
 
 class TestBinaryFrameContract:

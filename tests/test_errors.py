@@ -183,7 +183,10 @@ CONTRACT = [
     ("OmsParams", lambda: OmsParams(mode=ARRAY), ParameterError),
     ("filter_frame", lambda: filter_frame(FRAME, KERNEL, mode=ARRAY), ParameterError),
     ("SceneObject", lambda: SceneObject(np.zeros(2), 2, (1, 1), (1, 1)), ParameterError),
+    ("window_events", lambda: window_events(EVENTS, [-2**63 - 1]), ValidationError),
+    ("window_events", lambda: window_events(EVENTS, [2**63]), ValidationError),
 ]
+
 # Exceptions take any message, so no argument is bad.
 NO_BAD_ARGUMENT = {"OmsError", "ParameterError", "ParseError", "ValidationError"}
 
@@ -194,6 +197,18 @@ def test_input_contract(name, call, error):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("call", [
+    lambda ts: window_events(EVENTS, ts),
+    lambda ts: bin_events(EVENTS, ts, SensorGeometry(8, 8)),
+    lambda ts: DatasetManifest((64, 48), "e", "m", ts),
+], ids=["window_events", "bin_events", "manifest"])
+def test_mask_timestamp_range_is_int64(call):
+    # The CONTRACT rows refuse -2**63 - 1 and 2**63; both ends of int64 are accepted.
+    call([-2**63, 2**63 - 1])
+    with pytest.raises(ValidationError, match="mask timestamp"):
+        call([-2**63 - 1])
 
 
 # The public surface, pinned: an export is added or removed only on purpose.

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,7 @@ from oms import (
     accumulate_frame,
     window_events,
 )
-from oms.dataset_io import write_dataset, write_events
+from oms.dataset_io import ParseError, read_events, write_dataset, write_events
 from oms.events import bin_events
 from oms.synthetic import generate_scene
 
@@ -123,6 +125,17 @@ class TestEventRows:
     def test_bad_rows_rejected(self, tmp_path, call, events):
         with pytest.raises(ValidationError, match="^events must be a 1-D array of EVENT_DTYPE"):
             call(events, tmp_path)
+
+    @pytest.mark.parametrize("p", [2, -2])
+    def test_polarity_two_refused(self, tmp_path, p):
+        # |p| != 1 both finds the bad record and picks the message it raises.
+        ev = make_events([1, 2], ps=[1, p])
+        with pytest.raises(ValidationError, match=rf"^invalid polarity p={p} at event 1$"):
+            bin_events(ev, [10], SensorGeometry(4, 4))
+        path = tmp_path / "e.evt"
+        path.write_bytes(b"EVT1" + struct.pack("<HH", 4, 4) + b"\x00" * 8 + ev.tobytes())
+        with pytest.raises(ParseError, match=rf": invalid polarity p={p} at byte offset 29$"):
+            read_events(path)
 
     def test_record_check_names_first_bad_record(self):
         # Record 1 lies outside the sensor and record 2 has polarity 0: the
