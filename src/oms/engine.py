@@ -13,8 +13,8 @@ Two filtering modes are provided:
   is |corr(F, D)| for the single difference kernel D = surround - center
   (`kernels.difference_kernel`), whose taps are grouped by exact value v_g
   once per kernel pair and frame width (7 values for 52 taps at the defaults).
-  One scorer (`_Scorer`) serves every entry point, and `oms run` builds one
-  per run: its workspace holds the frame, padded once into a flat uint8
+  One scorer (`_Scorer`) serves every entry point; `oms run` and `oms_sequence`
+  build one per run. Its workspace holds the frame, padded once into a flat uint8
   buffer with rows of w + n - 1, where tap (dy, dx) is the offset
   dy * (w + n - 1) + dx, so each group's integer count c_g, a row of one
   (groups, N) block, is a sum of contiguous slices. A tap whose mirror
@@ -190,12 +190,16 @@ def _tap_groups(r1: int, center: bytes, r2: int, surround: bytes, width: int):
         Kernel(r1, 0.0, np.frombuffer(center).reshape(2 * r1, 2 * r1)),
         Kernel(r2, 0.0, np.frombuffer(surround).reshape(2 * r2, 2 * r2)),
     )
-    if not np.isfinite(d).all():
-        raise ValidationError("kernel weights must be finite")
     ys, xs = np.nonzero(d if d.any() else np.ones_like(d))  # D == 0: one zero group
     values, group = np.unique(d[ys, xs], return_inverse=True)
     sizes = np.bincount(group)
-    k = next(k for k in range(62, -64, -1) if np.abs(np.round(values * 2.0**k)) @ sizes <= 32767)
+    total = sum(abs(v) * s for v, s in zip(values.tolist(), sizes.tolist()))  # inf, no warning
+    if not math.isfinite(total):
+        raise ValidationError(f"kernel weights must be finite, and so must sum |D| ({total})")
+    # |round(x)| >= |x| - 1/2, so no k above top keeps sum |V_g| |g| <= 32767.
+    top = math.frexp(32767 + sizes.sum() / 2)[1] - math.frexp(total)[1] + 1 if total else 62
+    k = next(k for k in range(min(top, 62), -1023, -1)
+             if np.abs(np.round(values * 2.0**k)) @ sizes <= 32767)
     ints = np.round(values * 2.0**k)
     err = np.abs(values - ints / 2.0**k) @ sizes + 1e-12 * (1 + np.abs(values) @ sizes)
     n, pw = d.shape[0], width + d.shape[0] - 1
@@ -280,11 +284,6 @@ class _Scorer:
         return full
 
 
-# The scorer of each live `_segment` run, by its kernels' ids and frame shape: the run
-# scores each frame in one oms_frame call, which takes the run's workspace from here.
-_RUNS: dict[tuple, _Scorer] = {}
-
-
 def _tap_counts(frame: np.ndarray, center: Kernel, surround: Kernel):
     """(values, k, E, counts): a one-frame `_Scorer`'s plan and block of counts."""
     scorer = _Scorer(frame.shape, center, surround)
@@ -341,22 +340,25 @@ def oms_frame(
     """Threshold the center-surround score into a {0,1} motion mask with the
     input frame's shape. Spikes use strict inequality: score > alpha. The
     frame must be binary, as for oms_scores. In strided mode each pixel of
-    the valid region takes its nearest lattice cell and the rest is 0."""
+    the valid region takes its nearest lattice cell and the rest is 0. Each
+    call builds a scorer for its one frame; oms_sequence builds one for all."""
     frame = _check_binary_frame(frame)
     center, surround = _kernels_for(frame.shape, params, center, surround)
-    scorer = _RUNS.get((id(center), id(surround), frame.shape))  # None outside a run
-    return (scorer or _Scorer(frame.shape, center, surround))(frame, params)
+    return _Scorer(frame.shape, center, surround)(frame, params)
 
 
 def oms_sequence(
     frames: Sequence[np.ndarray], params: OmsParams, threads: int = 1
 ) -> list[np.ndarray]:
-    """Apply oms_frame to every frame in order, with kernels built once.
+    """Apply oms_frame to every frame in order, with kernels and one scorer
+    built once.
 
     All frames must share one shape, and are scored on the calling thread:
     `threads` must be an integer >= 1 and is otherwise ignored. A WARNING
     is logged when alpha is at least sum(max(D, 0)), the largest score any
-    binary frame can reach in either mode, so no pixel can spike.
+    binary frame can reach in either mode, so no pixel can spike. Every
+    frame is checked (2-D, then its shape, then, after the kernels, binary)
+    before any is scored.
     """
     _check_number(ParameterError, "threads", threads, True, 1, math.inf)
     frames = [_check_frame(f) for f in (frames if np.iterable(frames) else [frames])]
@@ -366,26 +368,22 @@ def oms_sequence(
     for i, f in enumerate(frames):
         if f.shape != shape:
             raise ValidationError(f"frame {i} has shape {f.shape}, expected {shape}")
-    return [mask for _, mask in _segment(frames, shape, params)]
+    scored = _segment(frames, shape, params)
+    for f in frames:
+        _check_binary_frame(f)
+    return [mask for _, mask in scored]
 
 
 def _segment(frames: Iterable[np.ndarray], shape: tuple[int, ...], params: OmsParams):
-    """(frame, oms_frame(frame)) for each of frames, lazily; the kernels are built for
-    shape, fitted to it and checked against alpha (oms_sequence's WARNING), and the
-    scorer's workspace is allocated, by this call."""
+    """(frame, its mask) for each of frames, lazily, all scored by one `_Scorer`. The
+    kernels are built for shape, fitted to it and checked against alpha (oms_sequence's
+    WARNING), and the scorer's workspace is allocated, by this call. The frames must be
+    binary, of that shape: they are not checked here."""
     center, surround = _kernels_for(shape, params)
     d = difference_kernel(center, surround)
     bound = float(d[d > 0].sum())
     if params.alpha >= bound:
         log.warning("alpha %g >= %.6g, the largest score a binary frame can reach: "
                     "no pixel can spike", params.alpha, bound)
-    scorer, key = _Scorer(shape, center, surround), (id(center), id(surround), tuple(shape))
-
-    def scored():
-        _RUNS[key] = scorer
-        try:
-            yield from ((f, oms_frame(f, params, center, surround)) for f in frames)
-        finally:
-            del _RUNS[key]
-
-    return scored()
+    scorer = _Scorer(shape, center, surround)
+    return ((f, scorer(f, params)) for f in frames)

@@ -15,13 +15,13 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oms import cli, engine
+from oms import cli, dataset_io, engine
 from oms.cli import main
 from oms.dataset_io import (
     DatasetManifest, ParseError, _write_pgm, import_evimo, mask_filename, read_events, read_mask,
     write_dataset,
 )
-from oms.engine import OmsParams, oms_frame
+from oms.engine import OmsParams
 from oms.events import accumulate_frame, window_events
 from oms.synthetic import SceneConfig, SceneObject, generate_scene
 from oms.events import EVENT_DTYPE, SensorGeometry
@@ -135,18 +135,40 @@ class TestRun:
         assert set(timings) == {"load", "bin", "score", "write"}
         assert all(isinstance(v, float) and v >= 0 for v in timings.values())
 
-    def test_score_ms_is_the_frame_call(self, dataset, tmp_path, monkeypatch):
-        # diagnostics[i].score_ms times frame i's oms_frame call, and no other.
-        calls = []
+    def test_reads_charged_to_load(self, dataset, tmp_path, monkeypatch):
+        # Each read of the event file counts in timings_ms.load, not in bin.
+        read, reads = cli._event_chunks, []
 
-        def slow_third(*args):
+        def slow_reads(*args):
+            chunks = read(*args)
+            yield next(chunks)  # the header's geometry
+            for chunk in chunks:
+                time.sleep(0.02)
+                reads.append(len(chunk))
+                yield chunk
+
+        manifest_path, _ = dataset
+        monkeypatch.setattr(cli, "_event_chunks", slow_reads)
+        monkeypatch.setattr(dataset_io, "_CHUNK", 64)
+        out = tmp_path / "run"
+        result = run_cli("run", "--manifest", manifest_path, "--out", out)
+        assert result.exit_code == 0, result.output
+        timings = json.loads((out / "run.json").read_text())["timings_ms"]
+        assert len(reads) >= 3 and timings["load"] >= 20 * len(reads), (reads, timings)
+        assert timings["bin"] < 20, timings
+
+    def test_score_ms_is_the_scorer_call(self, dataset, tmp_path, monkeypatch):
+        # diagnostics[i].score_ms times frame i's call of the run's scorer, and no other.
+        calls, score = [], engine._Scorer.__call__
+
+        def slow_third(self, *args):
             calls.append(None)
             if len(calls) == 3:
                 time.sleep(0.02)
-            return oms_frame(*args)
+            return score(self, *args)
 
         manifest_path, n = dataset
-        monkeypatch.setattr(engine, "oms_frame", slow_third)
+        monkeypatch.setattr(engine._Scorer, "__call__", slow_third)
         out = tmp_path / "run"
         result = run_cli("run", "--manifest", manifest_path, "--out", out, "--alpha", 0.13)
         assert result.exit_code == 0, result.output
@@ -462,7 +484,7 @@ class TestRun:
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(engine, "oms_frame", boom)
+        monkeypatch.setattr(engine._Scorer, "__call__", boom)
         out = tmp_path / "run"
         result = run_cli("run", "--manifest", dataset[0], "--out", out)
         assert result.exit_code == 1, result.output

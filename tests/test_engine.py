@@ -1,6 +1,7 @@
 import logging
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -610,6 +611,20 @@ class TestBinaryFrameContract:
         with pytest.raises(ValidationError):
             oms_sequence([frame], params)
 
+    def test_sequence_checks_every_frame_before_scoring(self, monkeypatch):
+        # Frame 2's values are refused before frame 0 is scored; a kernel that does
+        # not fit is refused before the values are looked at.
+        calls, score = [], engine._Scorer.__call__
+        monkeypatch.setattr(engine._Scorer, "__call__",
+                            lambda self, *args: calls.append(None) or score(self, *args))
+        frames = [np.zeros((32, 32), np.uint8) for _ in range(3)]
+        frames[2][16, 16] = 2
+        with pytest.raises(ValidationError, match="frame values must be 0 or 1"):
+            oms_sequence(frames, OmsParams())
+        with pytest.raises(ValidationError, match="kernel does not fit"):
+            oms_sequence(frames, OmsParams(r2=40))
+        assert calls == []
+
     def test_binary_dtypes_agree(self, rng):
         frame = (rng.random((32, 40)) < 0.3).astype(np.uint8)
         want = oms_scores(frame, OmsParams())
@@ -804,3 +819,19 @@ def test_lone_kernel_raises_parameter_error(call):
     for kernels in ((None, surround), (center, None)):
         with pytest.raises(ParameterError, match="both the center and the surround kernel"):
             call(frame, OmsParams(), *kernels)
+
+
+@pytest.mark.parametrize("w", [1e22, 1e23, 1e100, 1e300])
+def test_huge_finite_weights_score(w, rng):
+    # Past sum |D| of about 3e23 the int16 score needs k < -63, down to about -1000 at
+    # 1e300. The masks stay oms_scores > alpha, with no overflow warning on the way.
+    center, surround = Kernel(2, 1.0, np.full((4, 4), w)), OmsParams().make_kernels()[1]
+    frame = (rng.random((40, 48)) < 0.05).astype(np.uint8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.0, 0.13, 0.96):
+            params = OmsParams(alpha=alpha)
+            scores = oms_scores(frame, params, center, surround)
+            assert np.array_equal(oms_frame(frame, params, center, surround), scores > alpha)
+            assert 0 < np.count_nonzero(scores <= 0.5637) < scores.size  # the band is reached
+        assert np.isfinite(filter_frame(frame, center)).all()

@@ -185,6 +185,8 @@ CONTRACT = [
     ("SceneObject", lambda: SceneObject(np.zeros(2), 2, (1, 1), (1, 1)), ParameterError),
     ("window_events", lambda: window_events(EVENTS, [-2**63 - 1]), ValidationError),
     ("window_events", lambda: window_events(EVENTS, [2**63]), ValidationError),
+    ("oms_frame", lambda: oms_frame(FRAME, OmsParams(), Kernel(2, 1.0, np.full((4, 4), 1e308)),
+                                    OmsParams().make_kernels()[1]), ValidationError),
 ]
 
 # Exceptions take any message, so no argument is bad.
@@ -267,7 +269,8 @@ FRAMES = st.sampled_from([FRAME, BLOB, BLOB.astype(bool), BLOB.tolist()])
 PARAMS = st.sampled_from([OmsParams(), OmsParams(alpha=0.1),
                           OmsParams(r1=1, r2=3, s_s=2, alpha=0.05, mode="strided")])
 KERNELS = st.sampled_from([KERNEL, make_feathered_kernel(1, 0.5), Kernel(1, 0.0, [[0.25] * 2] * 2),
-                           Kernel(1, 1.0, np.full((2, 2), np.nan))])
+                           Kernel(1, 1.0, np.full((2, 2), np.nan)),
+                           Kernel(2, 1.0, np.full((4, 4), 1e300))])
 CONFIGS = st.sampled_from([scene(), scene(objects=()), scene(noise_rate=2.0, seed=5)])
 RECORDS = st.sampled_from([EVENTS, EVENTS[:0]])
 STAMPS = st.sampled_from([[1, 2], (0,), np.array([1, 5]), []])
