@@ -5,6 +5,8 @@ center-surround Gaussian filtering, and evaluates the resulting motion
 masks with mIoU and detection rate.
 """
 
+import importlib
+
 from .engine import (
     OmsParams,
     filter_frame,
@@ -20,18 +22,21 @@ from .events import (
     window_events,
 )
 from .kernels import Kernel, kernel_to_text, make_feathered_kernel
-from .metrics import (
-    FrameScore,
-    SequenceReport,
-    bf_ratio,
-    detection,
-    evaluate_sequence,
-    iou,
-    score_frame,
-)
-from .synthetic import SceneConfig, SceneObject, generate_scene, scene_br
 
 __version__ = "0.1.0"
+
+# Exports of the modules that `oms run` does not call, imported on first use (PEP 562).
+_LAZY = dict.fromkeys(("FrameScore", "SequenceReport", "bf_ratio", "detection",
+                       "evaluate_sequence", "iou", "score_frame"), "metrics")
+_LAZY.update(dict.fromkeys(("SceneConfig", "SceneObject", "generate_scene", "scene_br"),
+                           "synthetic"))
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return value
 
 __all__ = [
     "EVENT_DTYPE",

@@ -38,15 +38,12 @@ from .engine import OmsParams, _segment
 from .errors import OmsError, ParseError, ValidationError, _json
 from .events import _frames
 from .kernels import kernel_to_text, make_feathered_kernel
-from .metrics import _counts, _report
-from .synthetic import SceneConfig, generate_scene
 
 log = logging.getLogger("oms")
 
 RUN_MANIFEST_NAME = "run.json"
 PRED_PATTERN = "oms_{:05d}.pgm"
 OVERLAY_PATTERN = "overlay_{:05d}.pgm"
-_WRITE_GROUP = 8  # masks `oms run` holds before it writes them
 
 
 def _setup_logging():
@@ -205,17 +202,12 @@ def cmd_run(manifest_path, out_dir, config_path, emit_overlays, threads, **flags
                 and int(match[2]) < n):
             path.unlink()
     lap(None)
-    preds = []  # written _WRITE_GROUP at a time, so that the scorer's buffers stay in cache
     diagnostics = []
-    for i, (frame, pred) in enumerate(scored):
-        preds.append(pred)
+    for i, (frame, pred) in enumerate(scored):  # each mask written as soon as it is scored
         diagnostics.append({"score_ms": round(lap("score"), 3)})
         if overlays:
             _write_overlay(out / OVERLAY_PATTERN.format(i), frame, next(gts), pred)
-        if len(preds) == _WRITE_GROUP or i == n - 1:
-            for j, mask in enumerate(preds, i + 1 - len(preds)):
-                write_mask(mask, out / PRED_PATTERN.format(j))
-            preds.clear()
+        write_mask(pred, out / PRED_PATTERN.format(i))
         lap("write")
     run_doc = {
         "format_version": dataset_io.FORMAT_VERSION,
@@ -251,6 +243,7 @@ def _write_overlay(path, frame, gt, pred):
 @handle_errors
 def cmd_eval(pred_dir, manifest_path, out_path, verbose):
     """Evaluate predicted masks against a dataset's ground truth."""
+    from .metrics import _counts, _report  # here: `oms run` does not load metrics
     timings = dict.fromkeys(("load", "bin", "read_masks", "evaluate"), 0.0)
     lap = _laps(timings)
     manifest, frames = open_frames(manifest_path, lap)
@@ -282,6 +275,7 @@ def cmd_eval(pred_dir, manifest_path, out_path, verbose):
 @handle_errors
 def cmd_synth(scene_config, out_dir):
     """Generate a synthetic dataset from a scene config JSON file."""
+    from .synthetic import SceneConfig, generate_scene  # here: `oms run` does not load synthetic
     config = _read_json(scene_config, "scene config", SceneConfig.from_dict)
     events, masks, timestamps = generate_scene(config)
     manifest_path = write_dataset(out_dir, events, config.geometry, masks, timestamps)

@@ -67,12 +67,22 @@ def _checked_events(events, geometry: SensorGeometry) -> np.ndarray:
 
 
 def _write_file(path, *data) -> None:
-    """Make the buffers data, in turn, the whole content of the file at path, in place."""
+    """Make the buffers data, in turn, the whole content of the file at path, in place:
+    one writev, repeated after a short write, and a cut only if the file was longer."""
+    parts = [memoryview(part).cast("B") for part in data]
+    size = sum(map(len, parts))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as f:
-        for part in data:
-            f.write(part)
-        f.truncate()
+    try:
+        while parts:
+            done = os.writev(fd, parts)
+            while parts and done >= len(parts[0]):
+                done -= len(parts.pop(0))
+            if parts:
+                parts[0] = parts[0][done:]
+        if os.fstat(fd).st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def _open(path, what: str):
@@ -131,14 +141,15 @@ def _event_chunks(path: Path, size: int):
 
 def write_mask(mask: np.ndarray, path) -> None:
     """Write a {0,1} mask as binary PGM with values 0/255."""
-    mask = _array(ValidationError, "mask", mask, 2)
-    _write_pgm((mask > 0).view(np.uint8) * 255, path)
+    pixels = (_array(ValidationError, "mask", mask, 2) > 0).view(np.uint8)
+    pixels *= 255  # in place: 0/255
+    _write_pgm(pixels, path)
 
 
 def _write_pgm(pixels: np.ndarray, path) -> None:
-    """Write a 2D uint8 array as binary PGM (P5, maxval 255)."""
+    """Write a C-contiguous 2D uint8 array as binary PGM (P5, maxval 255), without a copy."""
     h, w = pixels.shape
-    _write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
+    _write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii"), pixels)
 
 
 # Magic, width, height and maxval, separated by whitespace and by comments

@@ -77,9 +77,10 @@ def difference_kernel(center: Kernel, surround: Kernel) -> np.ndarray:
     """
     r = max(center.radius, surround.radius)
     d = np.zeros((2 * r, 2 * r))
-    for kernel, sign in ((surround, 1.0), (center, -1.0)):
-        o = r - kernel.radius
-        d[o:o + kernel.size, o:o + kernel.size] += sign * kernel.weights
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or an overflow: the scorer refuses D
+        for kernel, sign in ((surround, 1.0), (center, -1.0)):
+            o = r - kernel.radius
+            d[o:o + kernel.size, o:o + kernel.size] += sign * kernel.weights
     return d
 
 

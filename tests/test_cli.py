@@ -374,9 +374,19 @@ class TestRun:
         assert started == []
         assert "threads" not in json.loads((out / "run.json").read_text())
 
-    def test_import_loads_no_thread_pool(self):
-        # A fresh interpreter: the test session itself may have loaded it.
-        code = "import oms.cli, sys; assert 'concurrent.futures' not in sys.modules"
+    def test_import_skips_thread_pool_metrics_and_synthetic(self):
+        # A fresh interpreter: the test session itself has loaded them. `oms run` calls
+        # neither metrics nor synthetic; `import oms` loads them on first use, and a
+        # star import still binds every export.
+        code = """
+import sys, oms.cli
+assert not {'concurrent.futures', 'oms.metrics', 'oms.synthetic'} & set(sys.modules)
+names = {}
+exec('from oms import *', names)
+import oms
+assert len(oms.__all__) == 27 and set(oms.__all__) <= set(names)
+assert oms.iou is oms.metrics.iou is names['iou']
+"""
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                 text=True, timeout=120)

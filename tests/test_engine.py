@@ -835,3 +835,15 @@ def test_huge_finite_weights_score(w, rng):
             assert np.array_equal(oms_frame(frame, params, center, surround), scores > alpha)
             assert 0 < np.count_nonzero(scores <= 0.5637) < scores.size  # the band is reached
         assert np.isfinite(filter_frame(frame, center)).all()
+
+
+@pytest.mark.parametrize("c, s", [(np.inf, np.inf), (-1e308, 1e308)], ids=["inf-inf", "overflow"])
+def test_non_finite_difference_is_only_a_validation_error(c, s):
+    # D = surround - center is NaN (inf - inf) or overflows (1e308 + 1e308): the scorer
+    # refuses it with ValidationError, and no RuntimeWarning comes before it.
+    center, surround = Kernel(2, 1.0, np.full((4, 4), c)), Kernel(4, 1.0, np.full((8, 8), s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for score in (oms_frame, oms_scores):
+            with pytest.raises(ValidationError, match="finite"):
+                score(np.zeros((16, 16), np.uint8), OmsParams(), center, surround)

@@ -314,6 +314,19 @@ FUZZ = {
 }
 
 
+@pytest.mark.parametrize("name", ["oms_frame", "oms_scores"])
+@settings(max_examples=60, deadline=None)
+@given(frame=FRAMES, params=PARAMS, center=KERNELS, surround=KERNELS)
+def test_drawn_kernels_reach_the_scorer(name, frame, params, center, surround):
+    # A valid frame and params, so that each drawn kernel pair is scored, or refused
+    # (a NaN or a sum |D| past float64) with an OmsError.
+    try:
+        out = getattr(oms, name)(frame, params, center, surround)
+    except OmsError:
+        return
+    assert out.ndim == 2 and np.isfinite(out).all()
+
+
 def documented_type_error(call, args, slots) -> bool:
     """Whether TypeError is the documented outcome of call(*args)."""
     try:

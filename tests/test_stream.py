@@ -7,6 +7,7 @@ in-memory path; the memory tests trace what a run holds at full size."""
 import json
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,14 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oms import cli, dataset_io
+from oms import dataset_io, engine
 from oms.cli import main, open_frames
 from oms.dataset_io import HEADER_SIZE, MAGIC, DatasetManifest, read_mask, write_dataset
 from oms.errors import ParseError, ValidationError
 from oms.events import SensorGeometry, bin_events
 from oms.synthetic import SceneConfig, SceneObject, generate_scene
 
+from conftest import BR1_CONFIG
 from test_events import make_events, scanned_stack
 
 GEOM = SensorGeometry(7, 5)
@@ -201,11 +203,37 @@ class TestStreamedRun:
             assert len(list((tmp_path / f"out{run}").glob("overlay_*.pgm"))) == frames
         assert peaks[2] < peaks[1] + 64 * 1024, peaks
 
+    def test_run_holds_one_mask(self, tmp_path):
+        # At its peak a 16-frame br1 run holds the scorer's workspace, one chunk
+        # buffer and a few frames (the binned frame, the mask and its 0/255
+        # pixels), however many frames it writes: each mask is written as soon as
+        # it is scored, and its pixels are written without a copy.
+        config = replace(BR1_CONFIG, n_frames=17)
+        events, masks, ts = generate_scene(config)
+        manifest = write_dataset(tmp_path / "ds", events, config.geometry, masks, ts)
+        scorer = engine._Scorer(config.geometry.shape, *engine.OmsParams().make_kernels())
+        workspace = sum(a.nbytes for a in (scorer.padded, scorer.pair, scorer.counts, scorer.score))
+        del scorer
+        peaks = []
+        for run in range(2):  # the first run warms the caches
+            tracemalloc.start()
+            try:
+                result = run_cli("run", "--manifest", manifest, "--out", tmp_path / f"out{run}",
+                                 "--alpha", 0.13)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
+        assert len(list((tmp_path / "out1").glob("oms_*.pgm"))) == len(ts) == 16
+        budget = workspace + dataset_io._CHUNK * 13 + 4 * 346 * 260
+        assert peaks[1] < budget, (peaks, budget)
+
     @pytest.mark.parametrize("at", ["mid-stream", "after the last timestamp"])
     def test_bad_record_exits_2_without_run_json(self, scene, tmp_path, monkeypatch, at):
-        # The masks written before the bad record stay on disk: those of the
-        # windows that closed in an earlier chunk, in whole write groups. The
-        # run.json of the complete run before this one is removed.
+        # The masks written before the bad record stay on disk: each mask is
+        # written as soon as it is scored, so those of all the windows that
+        # closed in an earlier chunk. The run.json of the complete run before
+        # this one is removed.
         manifest, events, ts = scene
         t = events["t"]
         if at == "mid-stream":  # the first record of window 13
@@ -216,7 +244,6 @@ class TestStreamedRun:
             bad = np.concatenate([events, make_events([max(t[-1], ts[-1]) + 1], ps=[5])])
         # The windows whose closing record lies in a chunk of 3 before the bad one's.
         closed = int(np.sum(np.searchsorted(t, ts, "right") // 3 < i // 3))
-        closed -= closed % cli._WRITE_GROUP
         assert 0 < closed < len(ts)
         ds = write_stream(tmp_path / "ds", bad, ts, geometry=SensorGeometry(48, 32),
                           header=SensorGeometry(48, 32))
